@@ -12,7 +12,10 @@ import (
 
 	"chronosntp/internal/analysis"
 	"chronosntp/internal/attack"
+	"chronosntp/internal/chronos"
+	"chronosntp/internal/clock"
 	"chronosntp/internal/core"
+	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/dnswire"
 	"chronosntp/internal/eval"
 	"chronosntp/internal/fleet"
@@ -262,6 +265,153 @@ func BenchmarkDNSWireRoundTrip(b *testing.B) {
 		if _, err := dnswire.Decode(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// poisonedPoolRRs returns the answer section of the forged 89-record,
+// 7-day-TTL pool response.
+func poisonedPoolRRs(tb testing.TB) []dnswire.RR {
+	forge := &attack.ResponseForge{PoolName: core.PoolName, Servers: evilIPs(89)}
+	q := dnswire.NewQuery(1, core.PoolName, dnswire.TypeA)
+	q.SetEDNS(dnswire.EthernetMaxPayload)
+	resp, err := forge.Response(q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return resp.Answers
+}
+
+// replayLookuper answers every lookup at once with res and keeps the
+// client's absorb callback, so later responses can be handed to the same
+// client without a resolver or a simulated network in between.
+type replayLookuper struct {
+	res dnsresolver.Result
+	cb  dnsresolver.Callback
+}
+
+func (l *replayLookuper) Lookup(_ string, _ dnswire.Type, cb dnsresolver.Callback) {
+	l.cb = cb
+	cb(l.res)
+}
+
+// newAbsorbClient returns a Chronos client on host whose pool already
+// holds a 24-server benign harvest, and its absorb callback. The client
+// is stopped, so nothing it scheduled stays on the event queue.
+func newAbsorbClient(host *simnet.Host) (*chronos.Client, dnsresolver.Callback) {
+	benign := make([]dnswire.RR, 24)
+	for i := range benign {
+		benign[i] = dnswire.ARecord(core.PoolName, 150, [4]byte{203, 0, 113, byte(i + 1)})
+	}
+	l := &replayLookuper{res: dnsresolver.Result{RRs: benign}}
+	c := chronos.New(host, &clock.Clock{}, l, chronos.Config{})
+	c.BuildPool(nil)
+	c.Stop()
+	return c, l.cb
+}
+
+// BenchmarkPoolAbsorb measures the Chronos pool merge of the 89-record
+// poisoned set into a client holding 24 benign servers. fresh is the
+// first absorb of the set (89 adds); repeat re-delivers a cached set the
+// client already merged, under its resolver-cache SetID — the steady
+// state of every hourly query once the poison is cached, which skips the
+// merge; repeat-setid0 re-delivers it with no SetID, which pays the full
+// re-merge (89 membership probes, no adds).
+func BenchmarkPoolAbsorb(b *testing.B) {
+	poisoned := dnsresolver.Result{RRs: poisonedPoolRRs(b), SetID: 1}
+	n := simnet.New(simnet.Config{Seed: 1})
+	host, err := n.AddHost(simnet.IPv4(10, 0, 0, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		// Clients are built outside the timer in batches, which keeps the
+		// StopTimer cost off all but one in every batch iterations.
+		const batch = 256
+		absorb := make([]dnsresolver.Callback, batch)
+		for i := 0; i < b.N; i += batch {
+			k := min(batch, b.N-i)
+			b.StopTimer()
+			for j := 0; j < k; j++ {
+				_, absorb[j] = newAbsorbClient(host)
+			}
+			b.StartTimer()
+			for j := 0; j < k; j++ {
+				absorb[j](poisoned)
+			}
+		}
+	})
+	for _, arm := range []struct {
+		name  string
+		setID uint64
+	}{{"repeat", poisoned.SetID}, {"repeat-setid0", 0}} {
+		b.Run(arm.name, func(b *testing.B) {
+			c, absorb := newAbsorbClient(host)
+			absorb(poisoned)
+			res := poisoned
+			res.SetID = arm.setID
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				absorb(res)
+			}
+			b.StopTimer()
+			if c.PoolSize() != 24+89 {
+				b.Fatalf("pool size %d, want %d", c.PoolSize(), 24+89)
+			}
+		})
+	}
+}
+
+// TestPoolAbsorbRepeatAllocs pins BenchmarkPoolAbsorb/repeat at zero
+// allocations: re-delivering an already merged cached set must cost
+// nothing but the policy pass.
+func TestPoolAbsorbRepeatAllocs(t *testing.T) {
+	poisoned := dnsresolver.Result{RRs: poisonedPoolRRs(t), SetID: 1}
+	n := simnet.New(simnet.Config{Seed: 1})
+	host, err := n.AddHost(simnet.IPv4(10, 0, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, absorb := newAbsorbClient(host)
+	absorb(poisoned)
+	if allocs := testing.AllocsPerRun(200, func() { absorb(poisoned) }); allocs != 0 {
+		t.Fatalf("repeat absorb: %v allocs/op, want 0", allocs)
+	}
+	// The benign harvest, the first poisoned merge, then AllocsPerRun's
+	// warm-up call and 200 measured ones: the policy pass still counts each.
+	if got := c.Stats().PoolResponses; got != 1+1+201 {
+		t.Fatalf("PoolResponses = %d, want %d", got, 1+1+201)
+	}
+}
+
+// BenchmarkCacheGet measures a resolver cache hit on the aged 89-record
+// poisoned entry. same-second reads it repeatedly within one virtual
+// second (the aged view is reused as is); new-second advances the clock
+// one second per read, so every read re-ages the view's TTLs.
+func BenchmarkCacheGet(b *testing.B) {
+	rrs := poisonedPoolRRs(b)
+	stored := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
+	c := dnsresolver.NewCache()
+	c.Put(stored, core.PoolName, dnswire.TypeA, rrs)
+	// The first aged read clones the records once; time the steady state.
+	c.Get(stored.Add(time.Second), core.PoolName, dnswire.TypeA)
+	for _, arm := range []struct {
+		name string
+		at   func(i int) time.Time
+	}{
+		{"same-second", func(int) time.Time { return stored.Add(time.Hour) }},
+		{"new-second", func(i int) time.Time { return stored.Add(time.Duration(1+i%86400) * time.Second) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, ok := c.Get(arm.at(i), core.PoolName, dnswire.TypeA)
+				if !ok || len(got) != len(rrs) {
+					b.Fatalf("cache miss on the poisoned entry at %v", arm.at(i))
+				}
+			}
+		})
 	}
 }
 

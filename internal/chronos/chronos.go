@@ -215,6 +215,15 @@ type Client struct {
 	absorbFn   func(dnsresolver.Result)
 	pendingIdx int
 
+	// lastSet is the Result.SetID of the last pool response merged in
+	// full (0 = none or unknown). The pool only grows, a cached RRset's
+	// records never change, and the merge never reads TTLs, so merging
+	// that set again would add nothing — even if PoolTarget cut the first
+	// merge short, since the pool then stays at the target. Once a
+	// poisoned set is cached, every later hourly query returns it again,
+	// and absorbPoolResponse skips those repeats after the policy pass.
+	lastSet uint64
+
 	// Per-server auth state, allocated only when cfg.Auth is set so the
 	// unauthenticated client carries no extra footprint at fleet scale.
 	authCache map[uint32]*ntpauth.ClientAuth
@@ -420,7 +429,8 @@ func (c *Client) poolQuery() {
 	c.timer = c.host.Net().After(c.cfg.PoolQueryInterval, c.poolQueryFn)
 }
 
-// absorbPoolResponse applies the §V policy and merges a pool response.
+// absorbPoolResponse applies the §V policy and merges a pool response,
+// skipping the merge of a cached RRset it merged last time (see lastSet).
 func (c *Client) absorbPoolResponse(idx int, res dnsresolver.Result) {
 	if res.Err != nil {
 		return
@@ -450,6 +460,9 @@ func (c *Client) absorbPoolResponse(idx int, res dnsresolver.Result) {
 		}
 	}
 	c.stats.PoolResponses++
+	if res.SetID != 0 && res.SetID == c.lastSet {
+		return // already merged: see lastSet
+	}
 	target := c.cfg.PoolTarget
 	seen := 0
 	for i := range res.RRs {
@@ -479,6 +492,7 @@ func (c *Client) absorbPoolResponse(idx int, res dnsresolver.Result) {
 		}
 		c.poolAdd(PoolEntry{IP: ip, AddedAt: now, QueryIdx: idx})
 	}
+	c.lastSet = res.SetID
 }
 
 // finishBuild completes pool generation and starts the sync loop.

@@ -2,6 +2,7 @@ package dnsresolver
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"chronosntp/internal/dnswire"
@@ -15,11 +16,17 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	rrs      []dnswire.RR // TTLs as received
-	aged     []dnswire.RR // per-entry scratch for the TTL-decremented view
-	agedBy   uint32       // seconds the scratch view was aged by; 0 = stale
+	aged     []dnswire.RR // per-entry clone of rrs holding the TTL-decremented view
+	agedBy   uint32       // seconds the aged view was aged by; 0 = not yet built
+	id       uint64       // RRset id handed out as Result.SetID on cache hits
 	storedAt time.Time
 	expiry   time.Time
 }
+
+// setIDs numbers cached RRsets. It is shared by every Cache in the
+// process, so an id names one stored record set and is never reused for
+// different records, even across resolvers; 0 is never issued.
+var setIDs atomic.Uint64
 
 // Cache is a TTL-respecting DNS cache. It is the attack target: one
 // poisoned RRset with a long TTL persists across all of Chronos' hourly
@@ -54,6 +61,7 @@ func (c *Cache) Put(now time.Time, name string, qtype dnswire.Type, rrs []dnswir
 	k := cacheKey{name: dnswire.NormalizeName(name), qtype: qtype}
 	c.entries[k] = &cacheEntry{
 		rrs:      cp,
+		id:       setIDs.Add(1),
 		storedAt: now,
 		expiry:   now.Add(time.Duration(minTTL) * time.Second),
 	}
@@ -69,49 +77,56 @@ func (c *Cache) PutNegative(now time.Time, name string, qtype dnswire.Type, ttl 
 // Get returns the unexpired RRset for (name, qtype) with TTLs decremented
 // by the time spent in cache.
 //
-// The returned slice is borrowed from the entry: callers must consume it
-// (or copy records out) before the entry is next written or aged again,
-// i.e. within the same simulation event. When no whole second has elapsed
-// since storage the stored records are returned directly; otherwise the
-// TTL-decremented view is built in a per-entry scratch slice, so two
-// simultaneously live Gets of *different* entries (the referral walk holds
-// an NS set while fetching glue A sets) never clobber each other.
+// The returned slice is borrowed from the entry: callers must not modify
+// it, and must consume it (or copy records out) before the entry is next
+// written or aged again, i.e. within the same simulation event. When no
+// whole second has elapsed since storage the stored records are returned
+// directly; otherwise the TTL-decremented view lives in a per-entry
+// clone, so two simultaneously live Gets of *different* entries (the
+// referral walk holds an NS set while fetching glue A sets) never clobber
+// each other.
 func (c *Cache) Get(now time.Time, name string, qtype dnswire.Type) ([]dnswire.RR, bool) {
-	k := cacheKey{name: dnswire.NormalizeName(name), qtype: qtype}
+	rrs, _, ok := c.get(now, cacheKey{name: dnswire.NormalizeName(name), qtype: qtype})
+	return rrs, ok
+}
+
+// get is Get for an already-normalised key, also returning the entry's
+// RRset id.
+func (c *Cache) get(now time.Time, k cacheKey) ([]dnswire.RR, uint64, bool) {
 	e, ok := c.entries[k]
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
 	if !now.Before(e.expiry) {
 		delete(c.entries, k)
-		return nil, false
+		return nil, 0, false
 	}
 	aged := uint32(now.Sub(e.storedAt) / time.Second)
 	if aged == 0 {
-		return e.rrs, true
+		return e.rrs, e.id, true
 	}
 	if e.agedBy == aged {
-		// The scratch view is already decremented by this many seconds —
-		// the common case at fleet scale, where bursts of clients hit the
-		// same entry within one virtual second. Skip the copy.
-		return e.aged, true
+		// The view is already decremented by this many seconds — the
+		// common case at fleet scale, where bursts of clients hit the
+		// same entry within one virtual second.
+		return e.aged, e.id, true
 	}
-	if cap(e.aged) < len(e.rrs) {
+	if e.aged == nil {
+		// First aged read: clone the records once. The view differs from
+		// rrs only in TTL, so every later re-age rewrites TTLs alone
+		// instead of re-copying the wide, pointer-bearing records.
 		e.aged = make([]dnswire.RR, len(e.rrs))
+		copy(e.aged, e.rrs)
 	}
-	e.aged = e.aged[:len(e.rrs)]
-	// Bulk-copy the records, then patch TTLs in place: one memmove beats
-	// a per-record struct copy for the wide RR type.
-	copy(e.aged, e.rrs)
 	for i := range e.aged {
-		if e.aged[i].TTL > aged {
-			e.aged[i].TTL -= aged
+		if ttl := e.rrs[i].TTL; ttl > aged {
+			e.aged[i].TTL = ttl - aged
 		} else {
 			e.aged[i].TTL = 0
 		}
 	}
 	e.agedBy = aged
-	return e.aged, true
+	return e.aged, e.id, true
 }
 
 // GetNegative reports whether (name, qtype) is negatively cached.
@@ -172,7 +187,7 @@ func (c *Cache) Dump(now time.Time) []dnswire.RR {
 	})
 	var out []dnswire.RR
 	for _, k := range keys {
-		if rrs, ok := c.Get(now, k.name, k.qtype); ok {
+		if rrs, _, ok := c.get(now, k); ok {
 			out = append(out, rrs...)
 		}
 	}

@@ -123,6 +123,14 @@ type Result struct {
 	RRs  []dnswire.RR
 	Err  error
 	From string // zone of the answering server, for diagnostics
+
+	// SetID names the cached RRset a Resolver cache hit was served from.
+	// Every Cache.Put issues a new process-wide id, and an id is never
+	// reused for different records, so two results with the same non-zero
+	// SetID carry the same records with only their TTLs aged. 0 means
+	// unknown: fresh upstream answers, Stub results and the mitigation
+	// consensus all carry it, and it matches nothing.
+	SetID uint64
 }
 
 // Callback receives the outcome of an internal lookup.
@@ -218,19 +226,18 @@ func (r *Resolver) handleClient(now time.Time, meta simnet.Meta, payload []byte)
 // Lookup resolves (name, qtype), invoking cb exactly once — synchronously
 // on a cache hit, otherwise after upstream resolution completes or fails.
 func (r *Resolver) Lookup(name string, qtype dnswire.Type, cb Callback) {
-	name = dnswire.NormalizeName(name)
+	key := cacheKey{name: dnswire.NormalizeName(name), qtype: qtype}
 	now := r.host.Net().Now()
-	if rrs, ok := r.cache.Get(now, name, qtype); ok {
+	if rrs, id, ok := r.cache.get(now, key); ok {
 		r.stats.CacheHits++
-		cb(Result{RRs: rrs, From: "cache"})
+		cb(Result{RRs: rrs, SetID: id, From: "cache"})
 		return
 	}
-	if r.cache.GetNegative(now, name, qtype) {
+	if r.cache.GetNegative(now, key.name, qtype) {
 		r.stats.CacheHits++
 		cb(Result{Err: ErrNXDomain, From: "cache"})
 		return
 	}
-	key := cacheKey{name: name, qtype: qtype}
 	if q, ok := r.inflight[key]; ok {
 		q.waiters = append(q.waiters, cb)
 		return

@@ -112,6 +112,14 @@ func TestConsensusAgreesOnHonestAnswers(t *testing.T) {
 	if len(cs.Resolvers()) != 3 {
 		t.Error("Resolvers() size wrong")
 	}
+	// A second lookup is served from every resolver's cache, but the
+	// voted set is assembled per lookup and names no cached RRset.
+	got = dnsresolver.Result{}
+	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })
+	n.RunFor(30 * time.Second)
+	if got.Err != nil || got.SetID != 0 {
+		t.Errorf("cached consensus result: err %v SetID %d, want 0", got.Err, got.SetID)
+	}
 }
 
 func TestConsensusDefeatsSinglePoisonedResolver(t *testing.T) {

@@ -98,7 +98,7 @@ type Server struct {
 	authSerial bool
 
 	served  atomic.Uint64 // requests answered
-	dropped atomic.Uint64 // datagrams discarded (malformed, wrong mode, write failure)
+	dropped atomic.Uint64 // datagrams discarded (malformed, wrong mode, auth reject, write failure)
 }
 
 // Serve binds the socket and starts the read loops.
