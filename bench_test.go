@@ -602,13 +602,16 @@ func BenchmarkEventQueue(b *testing.B) {
 
 // BenchmarkShiftEngine measures the long-horizon shift engine's
 // throughput in simulated rounds/sec. The acceptance bar is ≥ 100k
-// rounds/sec — the round-compression fast path (simnet.FastForward plus
-// attempt-granular sampling) is what makes simulating the paper's
-// "decades to shift" regimes tractable. The honest-majority
+// rounds/sec — the round-compression fast path (the engine's own
+// virtual clock plus attempt-granular sampling) is what makes simulating
+// the paper's "decades to shift" regimes tractable. The honest-majority
 // configuration exercises the steady-state path (every round samples,
-// evaluates C1/C2, and applies an update); the poisoned configuration
-// adds the escalation machinery. A fixed 50k-round budget per iteration
-// keeps the metric stable.
+// evaluates C1/C2, and applies an update); the poisoned configurations
+// add the escalation machinery; the auth arms put two thirds of the
+// benign servers behind SHA-256 credentials, which starves C1/C2 into a
+// full-pool panic sweep every round (auth-c1c2) or, with a three-source
+// quorum, panics in only a few percent of rounds (auth-quorum3). A fixed
+// 50k-round budget per iteration keeps the metric stable.
 func BenchmarkShiftEngine(b *testing.B) {
 	cases := []struct {
 		name string
@@ -624,6 +627,16 @@ func BenchmarkShiftEngine(b *testing.B) {
 		}},
 		{"poisoned-stealth", shiftsim.Config{
 			Seed: 1, PoolSize: 133, Malicious: 89, Strategy: shiftsim.Stealth{},
+			Target: time.Hour,
+		}},
+		{"auth-c1c2", shiftsim.Config{
+			Seed: 1, PoolSize: 133, Malicious: 89,
+			Auth:   &shiftsim.AuthModel{Frac: 2.0 / 3.0, Scheme: shiftsim.AuthSHA256, Move: shiftsim.MoveShift},
+			Target: time.Hour,
+		}},
+		{"auth-quorum3", shiftsim.Config{
+			Seed: 1, PoolSize: 133, Malicious: 89, Client: chronos.Config{MinSources: 3},
+			Auth:   &shiftsim.AuthModel{Frac: 2.0 / 3.0, Scheme: shiftsim.AuthSHA256, Move: shiftsim.MoveShift},
 			Target: time.Hour,
 		}},
 	}

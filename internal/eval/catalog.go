@@ -128,7 +128,7 @@ func Catalog() []CatalogEntry {
 			Run:     "go run ./cmd/attacksim -experiment E10 [-shift 100ms -horizon 168h -strategy all] [-checkpoint FILE | -resume FILE]",
 			Axes:    []string{"target shift", "horizon", "strategy (greedy, stealth, intermittent, honest-until-threshold)", "§V mitigation", "seed", "trials"},
 			Notes: []string{
-				"Round-compressed fast path (simnet.FastForward) sustains >100k simulated rounds/sec; a packet-fidelity wire mode cross-checks the dynamics.",
+				"Round-compressed fast path (own virtual clock; no event queue) sustains >100k simulated rounds/sec; a packet-fidelity wire mode cross-checks the dynamics.",
 				"Checkpointable: -checkpoint appends each completed trial to a JSONL file; -resume skips restored trials and the final table is bit-identical to an uninterrupted run.",
 			},
 			Payload: &ShiftStudyPayload{},

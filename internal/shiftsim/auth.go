@@ -9,11 +9,11 @@ import (
 // This file is the compressed-mode abstraction of the internal/ntpauth
 // stack: instead of sealing and verifying real MAC trailers and NTS
 // extension fields per packet, the engine models their *decision
-// outcome* per sample — accepted, rejected by the client's credential
-// policy, or converted into a believed kiss-of-death. The mapping is
-// pinned against the packet-level implementation by the chronos auth
-// tests (forged KoD, require-auth rejection) so E11's long-horizon
-// sweeps inherit wire-validated semantics at engine speed.
+// outcome* per pool member — accepted, rejected by the client's
+// credential policy, or converted into a believed kiss-of-death. The
+// mapping is pinned against the packet-level implementation by the
+// chronos auth tests (forged KoD, require-auth rejection) so E11's
+// long-horizon sweeps inherit wire-validated semantics at engine speed.
 
 // Authentication schemes the model distinguishes. Only their forgery
 // resistance matters at round granularity: AuthMD5 stands for a broken
@@ -123,7 +123,7 @@ func (a AuthModel) withDefaults() AuthModel {
 
 // validate rejects out-of-range fractions and unregistered names.
 func (a AuthModel) validate() error {
-	if a.Frac < 0 || a.Frac > 1 {
+	if !(a.Frac >= 0 && a.Frac <= 1) { // also rejects NaN
 		return fmt.Errorf("%w: auth fraction %v outside [0,1]", ErrBadAuth, a.Frac)
 	}
 	if _, ok := authSchemes[a.Scheme]; !ok {
@@ -135,68 +135,86 @@ func (a AuthModel) validate() error {
 	return nil
 }
 
-// authOffset is sampleOffset behind the authentication layer: it returns
-// the offset the client computes from pool member id and whether the
-// sample survives verification at all. Rejected samples consume no
-// jitter RNG draw — determinism is per configuration, and the nil-model
-// path never reaches this function.
-func (e *engine) authOffset(id int, theta, plan time.Duration) (time.Duration, bool) {
-	a := e.cfg.Auth
-	forge := SchemeForgeable(a.Scheme)
-	if id >= e.benign {
-		// Attacker pool server serving the strategy's plan: a require-auth
-		// client only accepts it when the scheme lets the attacker forge.
-		if e.reqAuth && !forge {
-			e.res.AuthRejected++
-			return 0, false
+// Auth fates: what the client makes of one pool member's reply. Every
+// input to the decision (the model, the member's index, the credentialed
+// count) is fixed for the run, so newEngine resolves each member once.
+const (
+	fateHonest uint8 = iota // genuine reply: the server's clock error plus jitter
+	fatePlan                // the strategy's plan (attacker server or rewritten reply)
+	fateReject              // dropped by the credential policy
+	fateKiss                // believed DENY: demobilize on first contact
+	fateDead                // demobilized: no sample, ever again
+)
+
+// authFate resolves pool member id's fate. Members below authCount are
+// credentialed, and any credentialed member puts the client in
+// require-auth mode. A nil model is the pre-auth engine: honest benign
+// servers, attacker servers serving the plan.
+func authFate(a *AuthModel, id, benign, authCount int) uint8 {
+	reqAuth := authCount > 0 // implies a != nil
+	if id >= benign {
+		// An attacker pool server only verifies under a require-auth
+		// client when the scheme lets the attacker forge.
+		if reqAuth && !SchemeForgeable(a.Scheme) {
+			return fateReject
 		}
-		return plan, true
+		return fatePlan
 	}
-	authed := id < e.authCount
+	if a == nil {
+		return fateHonest
+	}
+	authed, forge := id < authCount, SchemeForgeable(a.Scheme)
 	switch a.Move {
 	case MoveMACStrip:
-		// Full MitM: every benign reply is rewritten to the plan.
-		if !e.reqAuth {
-			return plan, true
+		// Full MitM: every benign reply is rewritten to the plan, and a
+		// require-auth client keeps it only if re-sealed.
+		if !reqAuth || authed && forge {
+			return fatePlan
 		}
-		if authed && forge {
-			return plan, true // stripped, rewritten and re-sealed
-		}
-		e.res.AuthRejected++
-		return 0, false
 	case MoveForgeKoD:
-		if e.reqAuth {
-			if !authed {
-				e.res.AuthRejected++
-				return 0, false
-			}
+		if !reqAuth {
+			return fateKiss
+		}
+		if authed {
 			// The kiss is unauthenticated; a require-auth association
 			// ignores it and the genuine reply stands.
-			return e.sampleOffset(id, theta, plan), true
+			return fateHonest
 		}
-		if !e.kodDead[id] {
-			e.kodDead[id] = true
-			e.res.Demobilized++
-		}
-		return 0, false // believed DENY: no sample now, none ever again
 	case MoveCookieReplay:
-		if authed {
-			if forge {
-				return plan, true // forged afresh; no need to replay
-			}
-			e.res.AuthRejected++ // uid/origin binding rejects the replay
-			return 0, false
+		if authed && forge {
+			return fatePlan // forged afresh; no need to replay
 		}
-		if e.reqAuth {
-			e.res.AuthRejected++
-			return 0, false
+		// uid/origin binding rejects the replay at credentialed servers.
+		if !authed && !reqAuth {
+			return fateHonest
 		}
-		return e.sampleOffset(id, theta, plan), true
 	default: // MoveShift: benign traffic untouched
-		if e.reqAuth && !authed {
-			e.res.AuthRejected++
-			return 0, false
+		if authed || !reqAuth {
+			return fateHonest
 		}
-		return e.sampleOffset(id, theta, plan), true
+	}
+	return fateReject
+}
+
+// collect adds pool member id's sample, if its fate yields one, to the
+// attempt buffer. Honest servers expose their clock error against the
+// client's, plus latency asymmetry; planned samples land the strategy's
+// offset exactly (the attacker compensates for path delay — it stamped
+// the request). Only honest fates draw from the RNG.
+func (e *engine) collect(id int, theta, plan time.Duration) {
+	switch e.fate[id] {
+	case fateHonest:
+		jitter := time.Duration(0)
+		if e.cfg.Jitter > 0 {
+			jitter = time.Duration(e.rng.Int63n(int64(2*e.cfg.Jitter))) - e.cfg.Jitter
+		}
+		e.offsets = append(e.offsets, -theta+e.honest[id]+jitter)
+	case fatePlan:
+		e.offsets = append(e.offsets, plan)
+	case fateReject:
+		e.res.AuthRejected++
+	case fateKiss:
+		e.fate[id] = fateDead
+		e.res.Demobilized++
 	}
 }

@@ -2,6 +2,7 @@ package shiftsim
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -20,6 +21,7 @@ func TestAuthValidation(t *testing.T) {
 	cases := []Config{
 		authCfg(time.Hour, &AuthModel{Frac: -0.1}),
 		authCfg(time.Hour, &AuthModel{Frac: 1.5}),
+		authCfg(time.Hour, &AuthModel{Frac: math.NaN()}),
 		authCfg(time.Hour, &AuthModel{Scheme: "rot13"}),
 		authCfg(time.Hour, &AuthModel{Move: "teleport"}),
 	}

@@ -20,16 +20,16 @@
 //     Pool sampling is a real without-replacement draw from the seeded
 //     RNG, honest samples carry per-server clock error and latency
 //     asymmetry, malicious samples follow the Strategy, and virtual time
-//     advances with simnet.FastForward — an O(1) hop between rounds, so
-//     the engine sustains hundreds of thousands of simulated rounds per
-//     second and a decade-long horizon is minutes of wall time.
+//     is the engine's own clock (no event queue): an O(1) hop between
+//     rounds, so the engine sustains hundreds of thousands of simulated
+//     rounds per second and a decade-long horizon is minutes of wall time.
 //   - Wire (Config.Wire): a full packet-level chronos.Client against
 //     ntpserver farms, with the strategy adapted through
 //     ntpserver.RequestShiftStrategy. ~1000× slower; used to validate
 //     that the compressed dynamics match the real loop.
 //
 // Everything is deterministic from Config.Seed at any parallelism: each
-// trial owns its own simnet.Network and consumes only that network's RNG.
+// trial owns its own seeded RNG (its simnet.Network's, in wire mode).
 // Determinism is also what makes the E10 checkpoint/resume path sound:
 // eval.ShiftStudyCheckpointed persists each trial's Result as it
 // completes, and a resumed run replays the stored Results into the same
@@ -51,11 +51,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"time"
 
 	"chronosntp/internal/chronos"
 	"chronosntp/internal/clock"
-	"chronosntp/internal/simnet"
 )
 
 // Errors returned by Run.
@@ -218,10 +218,13 @@ func Sample(cfg Config, seed int64, trials int) ([]*Result, error) {
 	return out, nil
 }
 
-// engine is the compressed-mode state.
+// engine is the compressed-mode state. It keeps its own virtual clock
+// and RNG: the round loop never schedules an event, so a simnet.Network
+// would only add a queue nothing uses.
 type engine struct {
 	cfg    Config
-	net    *simnet.Network
+	rng    *rand.Rand
+	now    time.Time
 	clk    *clock.Clock
 	rule   chronos.Rule
 	benign int
@@ -229,24 +232,21 @@ type engine struct {
 	honest  []time.Duration // per-benign-server clock error
 	idx     []int           // sampling scratch (partial Fisher–Yates)
 	offsets []time.Duration // per-attempt sample buffer
-
-	// Auth-model state (see auth.go); zero-valued when cfg.Auth is nil.
-	authCount int    // benign indices < authCount are credentialed
-	reqAuth   bool   // the client drops samples it cannot verify
-	kodDead   []bool // benign servers demobilized by believed kisses
+	fate    []uint8         // per-pool-member auth-layer outcome (auth.go)
 
 	res    Result
 	streak int // current fresh-attempt capture run
-	start  time.Time
 }
 
 func newEngine(cfg Config) *engine {
-	net := simnet.New(simnet.Config{Seed: cfg.Seed})
-	rng := net.Rand()
+	// Seeded and started exactly like simnet.New, so both fidelity
+	// levels draw the same stream from the same origin.
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	e := &engine{
 		cfg:    cfg,
-		net:    net,
-		clk:    clock.New(net.Now(), 0, cfg.DriftPPM),
+		rng:    rng,
+		now:    epoch,
+		clk:    clock.New(epoch, 0, cfg.DriftPPM),
 		rule:   chronos.NewRule(cfg.Client),
 		benign: cfg.PoolSize - cfg.Malicious,
 		idx:    make([]int, cfg.PoolSize),
@@ -255,6 +255,7 @@ func newEngine(cfg Config) *engine {
 		// buffer for it up front keeps the round loop allocation-free
 		// (rule evaluation sorts this scratch in place).
 		offsets: make([]time.Duration, 0, cfg.PoolSize),
+		fate:    make([]uint8, cfg.PoolSize),
 	}
 	for i := range e.idx {
 		e.idx[i] = i
@@ -263,30 +264,34 @@ func newEngine(cfg Config) *engine {
 	for i := range e.honest {
 		e.honest[i] = time.Duration(rng.Int63n(int64(2*cfg.HonestErr))) - cfg.HonestErr
 	}
+	authCount := 0
 	if cfg.Auth != nil {
-		e.authCount = int(cfg.Auth.Frac * float64(e.benign))
-		if e.authCount > e.benign {
-			e.authCount = e.benign
-		}
-		e.reqAuth = e.authCount > 0
-		e.kodDead = make([]bool, e.benign)
+		authCount = min(int(cfg.Auth.Frac*float64(e.benign)), e.benign)
 	}
-	e.start = net.Now()
+	for id := range e.fate {
+		e.fate[id] = authFate(cfg.Auth, id, e.benign, authCount)
+	}
 	return e
 }
 
+// advance moves the virtual clock d forward (never back).
+func (e *engine) advance(d time.Duration) {
+	if d > 0 {
+		e.now = e.now.Add(d)
+	}
+}
+
 func (e *engine) run() (*Result, error) {
-	end := e.start.Add(e.cfg.Horizon)
+	end := epoch.Add(e.cfg.Horizon)
 	for round := 1; ; round++ {
-		if !e.net.Now().Before(end) {
+		if !e.now.Before(end) {
 			break
 		}
 		if e.cfg.MaxRounds > 0 && round > e.cfg.MaxRounds {
 			break
 		}
 		if e.cfg.Wander.Enabled() {
-			now := e.net.Now()
-			e.clk.SetDrift(now, e.cfg.Wander.Next(e.net.Rand(), e.clk.DriftPPM()))
+			e.clk.SetDrift(e.now, e.cfg.Wander.Next(e.rng, e.clk.DriftPPM()))
 		}
 		e.res.Rounds++
 		e.round(round)
@@ -294,15 +299,14 @@ func (e *engine) run() (*Result, error) {
 		// drifting client the target can be crossed *between* accepted
 		// updates (e.g. during a C2-failure stretch), which wire mode
 		// would observe at the next event.
-		e.observeClock(round, e.net.Now())
+		e.observeClock(round, e.now)
 		if e.res.Shifted && (e.cfg.RunLength < 0 || e.res.RoundsToRun > 0) {
 			break // every requested statistic is in
 		}
-		e.net.FastForward(e.cfg.Client.SyncInterval)
+		e.advance(e.cfg.Client.SyncInterval)
 	}
-	now := e.net.Now()
-	e.res.FinalOffset = e.clk.Offset(now)
-	e.res.Elapsed = now.Sub(e.start)
+	e.res.FinalOffset = e.clk.Offset(e.now)
+	e.res.Elapsed = e.now.Sub(epoch)
 	return &e.res, nil
 }
 
@@ -318,16 +322,15 @@ func (e *engine) round(round int) {
 			e.observeCapture(round, mal)
 		}
 		v := e.evaluateAttempt(round, attempt, mal)
-		e.net.FastForward(e.cfg.Client.QueryTimeout)
-		now := e.net.Now()
+		e.advance(e.cfg.Client.QueryTimeout)
 		switch rnd.Submit(v) {
 		case chronos.Apply:
-			e.clk.Step(now, v.Update)
+			e.clk.Step(e.now, v.Update)
 			e.res.Updates++
 			if v.Update > e.res.MaxPush {
 				e.res.MaxPush = v.Update
 			}
-			e.observeClock(round, now)
+			e.observeClock(round, e.now)
 			return
 		case chronos.Resample:
 			e.res.Resamples++
@@ -342,10 +345,9 @@ func (e *engine) round(round int) {
 // persistent index slice) and returns how many are malicious. The drawn
 // indices sit in idx[:m]; indices ≥ benign are attacker servers.
 func (e *engine) sample(m int) (malicious int) {
-	rng := e.net.Rand()
 	n := len(e.idx)
 	for i := 0; i < m; i++ {
-		j := i + rng.Intn(n-i)
+		j := i + e.rng.Intn(n-i)
 		e.idx[i], e.idx[j] = e.idx[j], e.idx[i]
 		if e.idx[i] >= e.benign {
 			malicious++
@@ -358,8 +360,7 @@ func (e *engine) sample(m int) (malicious int) {
 // Chronos rule.
 func (e *engine) evaluateAttempt(round, attempt, mal int) chronos.Verdict {
 	m := e.cfg.Client.SampleSize
-	now := e.net.Now()
-	theta := e.clk.Offset(now)
+	theta := e.clk.Offset(e.now)
 	if e.cfg.Auth != nil && e.cfg.Auth.Move == MoveMACStrip {
 		// Full MitM: the tamperer owns every reply it lets through, so
 		// the strategy sees the whole sample as captured. (Captures in
@@ -377,40 +378,16 @@ func (e *engine) evaluateAttempt(round, attempt, mal int) chronos.Verdict {
 		Config:           e.cfg.Client,
 	})
 	e.offsets = e.offsets[:0]
-	if e.cfg.Auth == nil {
-		for _, id := range e.idx[:m] {
-			e.offsets = append(e.offsets, e.sampleOffset(id, theta, plan))
-		}
-	} else {
-		for _, id := range e.idx[:m] {
-			if off, ok := e.authOffset(id, theta, plan); ok {
-				e.offsets = append(e.offsets, off)
-			}
-		}
+	for _, id := range e.idx[:m] {
+		e.collect(id, theta, plan)
 	}
 	return e.rule.Evaluate(e.offsets)
-}
-
-// sampleOffset is the offset the client computes from pool member id:
-// honest servers expose their clock error against the client's, plus
-// latency asymmetry; malicious servers land the strategy's plan exactly
-// (the attacker compensates for path delay — it stamped the request).
-func (e *engine) sampleOffset(id int, theta, plan time.Duration) time.Duration {
-	if id >= e.benign {
-		return plan
-	}
-	jitter := time.Duration(0)
-	if e.cfg.Jitter > 0 {
-		jitter = time.Duration(e.net.Rand().Int63n(int64(2*e.cfg.Jitter))) - e.cfg.Jitter
-	}
-	return -theta + e.honest[id] + jitter
 }
 
 // panic runs the panic-mode full-pool sweep.
 func (e *engine) panic(round int) {
 	e.res.Panics++
-	now := e.net.Now()
-	theta := e.clk.Offset(now)
+	theta := e.clk.Offset(e.now)
 	plan := e.cfg.Strategy.Plan(View{
 		Round: round, Panic: true,
 		Observed:         theta,
@@ -422,26 +399,17 @@ func (e *engine) panic(round int) {
 		Config:           e.cfg.Client,
 	})
 	e.offsets = e.offsets[:0]
-	if e.cfg.Auth == nil {
-		for id := 0; id < e.cfg.PoolSize; id++ {
-			e.offsets = append(e.offsets, e.sampleOffset(id, theta, plan))
-		}
-	} else {
-		for id := 0; id < e.cfg.PoolSize; id++ {
-			if off, ok := e.authOffset(id, theta, plan); ok {
-				e.offsets = append(e.offsets, off)
-			}
-		}
+	for id := range e.fate {
+		e.collect(id, theta, plan)
 	}
 	upd, ok := e.rule.PanicUpdate(e.offsets)
-	e.net.FastForward(e.cfg.Client.QueryTimeout)
+	e.advance(e.cfg.Client.QueryTimeout)
 	if !ok {
 		return
 	}
-	now = e.net.Now()
-	e.clk.Step(now, upd)
+	e.clk.Step(e.now, upd)
 	e.res.PanicUpdates++
-	e.observeClock(round, now)
+	e.observeClock(round, e.now)
 }
 
 // observeCapture tracks the fresh-attempt capture-run statistic.
@@ -465,7 +433,7 @@ func (e *engine) observeClock(round int, now time.Time) {
 	}
 	if !e.res.Shifted && absDur(off) >= e.cfg.Target {
 		e.res.Shifted = true
-		e.res.TimeToShift = now.Sub(e.start)
+		e.res.TimeToShift = now.Sub(epoch)
 		e.res.RoundsToShift = round
 	}
 }

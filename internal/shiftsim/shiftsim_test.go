@@ -293,8 +293,8 @@ func TestViewCaptured(t *testing.T) {
 }
 
 // TestElapsedAccountsRounds: virtual time covers at least the sync
-// intervals of every round — the FastForward hops are really advancing
-// the network clock.
+// intervals of every round — the engine's clock really advances between
+// rounds and attempts.
 func TestElapsedAccountsRounds(t *testing.T) {
 	res, err := Run(Config{Seed: 33, PoolSize: 96, Malicious: 0, Horizon: 24 * time.Hour})
 	if err != nil {

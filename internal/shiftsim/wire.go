@@ -11,6 +11,10 @@ import (
 	"chronosntp/internal/simnet"
 )
 
+// epoch is the virtual origin of both fidelity levels: simnet's default
+// start in wire mode, the engine's own clock in compressed mode.
+var epoch = simnet.Epoch
+
 // Wire-mode topology bases (every run is its own network).
 var (
 	wireBenignBase = simnet.IPv4(203, 0, 0, 1)

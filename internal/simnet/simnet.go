@@ -77,10 +77,13 @@ type MTUFn func(src, dst IP) int
 // DefaultMTU is the Ethernet MTU assumed for unconfigured paths.
 const DefaultMTU = 1500
 
+// Epoch is the default virtual-time origin, 2020-06-01T00:00:00Z.
+var Epoch = time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
+
 // Config parameterises a Network.
 type Config struct {
 	Seed    int64     // RNG seed; 0 means 1
-	Start   time.Time // virtual-time origin; zero means 2020-06-01T00:00:00Z
+	Start   time.Time // virtual-time origin; zero means Epoch
 	Latency LatencyFn // nil means 2ms + U[0,3ms) jitter
 	Loss    LossFn    // nil means lossless
 	MTU     MTUFn     // nil means DefaultMTU everywhere
@@ -125,7 +128,7 @@ func New(cfg Config) *Network {
 	}
 	start := cfg.Start
 	if start.IsZero() {
-		start = time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
+		start = Epoch
 	}
 	lat := cfg.Latency
 	if lat == nil {
@@ -555,10 +558,8 @@ func (n *Network) nextEventNs() (whenNs int64, ok bool) {
 // window holds no events — the common case between two scheduled Chronos
 // sync rounds — the hop is O(1): no per-interval ticking, no heap
 // traffic, so simulating a decade of idle wire time costs the same as
-// simulating a minute. internal/shiftsim leans on this to sustain
-// >100k simulated rounds per second, and internal/fleet and core's
-// scenario sync loop use the returned event count to skip re-sampling
-// across provably idle windows.
+// simulating a minute. core's scenario sync loop uses the returned
+// event count to skip re-sampling across provably idle windows.
 func (n *Network) FastForward(d time.Duration) int {
 	if d < 0 {
 		d = 0

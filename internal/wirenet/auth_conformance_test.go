@@ -26,7 +26,7 @@ import (
 func TestConformanceAuthenticatedResponseBytes(t *testing.T) {
 	const requests = 6
 	interval := 250 * time.Millisecond
-	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC) // simnet's virtual origin
+	start := simnet.Epoch
 
 	macKeys := []ntpauth.Key{
 		{ID: 1, Algo: ntpauth.AlgoMD5, Secret: []byte("legacy-md5-secret")},

@@ -27,7 +27,7 @@ import (
 func TestConformanceResponseBytes(t *testing.T) {
 	const requests = 6
 	interval := 250 * time.Millisecond
-	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC) // simnet's virtual origin
+	start := simnet.Epoch
 
 	scenarios := []struct {
 		name   string
