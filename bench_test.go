@@ -522,7 +522,7 @@ func BenchmarkFleetScale(b *testing.B) {
 // gcCPUSeconds reads the runtime's cumulative GC CPU time and total CPU
 // time via runtime/metrics. The delta ratio across a benchmark region is
 // reported as gc-cpu-frac: the fraction of compute the collector ate,
-// the number the slab/calendar event engine exists to hold down.
+// the number the slab-backed event engine exists to hold down.
 func gcCPUSeconds() (gc, total float64) {
 	samples := []metrics.Sample{
 		{Name: "/cpu/classes/gc/total:cpu-seconds"},
@@ -542,62 +542,51 @@ func reportGCFrac(b *testing.B, gc0, total0 float64) {
 }
 
 // BenchmarkEventQueue measures the simulator's raw schedule+dispatch
-// throughput — the op the calendar queue makes O(1) — over a standing
-// population of 10k pending timers spread across all three tiers
-// (dispatch wheel, overflow wheel, outer). Each iteration schedules and
-// drains a batch of 4096 timers with tier-mixed delays, so the metric
-// covers bucket insert, wheel rotation, L1→L0 migration, and slab
-// recycling. The legacy-heap sub-benchmark is the A/B contrast: the
-// same traffic through the container/heap engine the calendar replaced.
+// throughput over a standing population of 10k pending timers. Each
+// iteration schedules and drains a batch of 4096 timers whose delays
+// mix packet, timeout and pool-timer scales, so the metric covers heap
+// push and pop at realistic depth plus slab recycling. The single arm
+// keeps the name heap, under which the trajectory records it.
 func BenchmarkEventQueue(b *testing.B) {
-	engines := []struct {
-		name   string
-		legacy bool
-	}{
-		{"calendar", false},
-		{"heap", true},
-	}
-	for _, engine := range engines {
-		b.Run(engine.name, func(b *testing.B) {
-			n := simnet.New(simnet.Config{Seed: 1, LegacyHeap: engine.legacy})
-			rng := rand.New(rand.NewSource(7))
-			fired := 0
-			fn := func() { fired++ }
-			delay := func() time.Duration {
-				switch rng.Intn(8) {
-				case 0, 1, 2: // same L0 window
-					return time.Duration(rng.Int63n(int64(2 * time.Millisecond)))
-				case 3, 4, 5: // L1 overflow wheel
-					return time.Duration(rng.Int63n(int64(3 * time.Second)))
-				default: // deep L1 / outer tier
-					return time.Duration(rng.Int63n(int64(4 * time.Hour)))
-				}
+	b.Run("heap", func(b *testing.B) {
+		n := simnet.New(simnet.Config{Seed: 1})
+		rng := rand.New(rand.NewSource(7))
+		fired := 0
+		fn := func() { fired++ }
+		delay := func() time.Duration {
+			switch rng.Intn(8) {
+			case 0, 1, 2: // packet delivery: under 2 ms
+				return time.Duration(rng.Int63n(int64(2 * time.Millisecond)))
+			case 3, 4, 5: // query timeouts: under 3 s
+				return time.Duration(rng.Int63n(int64(3 * time.Second)))
+			default: // pool-generation timers: under 4 h
+				return time.Duration(rng.Int63n(int64(4 * time.Hour)))
 			}
-			// Standing population keeps every tier non-empty so dispatch
-			// pays migration and sweep costs, not just empty-wheel spins.
-			for i := 0; i < 10_000; i++ {
+		}
+		// The standing population keeps the heap deep, so every push and
+		// pop pays a realistic number of sift steps.
+		for i := 0; i < 10_000; i++ {
+			n.After(delay(), fn)
+		}
+		const batch = 4096
+		b.ReportAllocs()
+		gc0, total0 := gcCPUSeconds()
+		b.ResetTimer()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < batch; j++ {
 				n.After(delay(), fn)
 			}
-			const batch = 4096
-			b.ReportAllocs()
-			gc0, total0 := gcCPUSeconds()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < batch; j++ {
-					n.After(delay(), fn)
-				}
-				n.RunFor(5 * time.Second)
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			reportGCFrac(b, gc0, total0)
-			b.ReportMetric(float64(b.N*batch)/elapsed.Seconds(), "events/sec")
-			if fired == 0 {
-				b.Fatal("no events dispatched; the loop under test is vacuous")
-			}
-		})
-	}
+			n.RunFor(5 * time.Second)
+		}
+		elapsed := time.Since(start)
+		b.StopTimer()
+		reportGCFrac(b, gc0, total0)
+		b.ReportMetric(float64(b.N*batch)/elapsed.Seconds(), "events/sec")
+		if fired == 0 {
+			b.Fatal("no events dispatched; the loop under test is vacuous")
+		}
+	})
 }
 
 // BenchmarkShiftEngine measures the long-horizon shift engine's

@@ -21,9 +21,9 @@
 // slab — one growable []event arena addressed by generation-counted int32
 // handles, so the GC scans a single pointer-dense object instead of one
 // per in-flight event and a stale Timer handle cannot cancel a reused
-// slot — scheduled in a two-level calendar queue keyed by int64-ns
-// virtual time (see queue.go; O(1) amortized schedule and dispatch,
-// cancelled events left as lazily swept tombstones). Packet delivery
+// slot — ordered by a binary min-heap of inline (when, seq) keys over
+// int64-ns virtual time (see queue.go; cancelled events are lazy
+// tombstones reclaimed when they reach the top). Packet delivery
 // embeds the Packet in the event instead of a closure, and unfragmented
 // datagram buffers come from a per-network pool that reclaims them the
 // moment the receiving handler returns. Handlers therefore only borrow
@@ -87,11 +87,6 @@ type Config struct {
 	Latency LatencyFn // nil means 2ms + U[0,3ms) jitter
 	Loss    LossFn    // nil means lossless
 	MTU     MTUFn     // nil means DefaultMTU everywhere
-
-	// LegacyHeap selects the pre-calendar binary-heap scheduler. Event
-	// order is identical either way; the shim exists so equivalence and
-	// determinism tests can run both engines in one binary.
-	LegacyHeap bool
 }
 
 // Network is the simulated internet. All methods must be called from the
@@ -104,8 +99,7 @@ type Network struct {
 	seq       uint64
 	events    []event  // slab: all events live here, addressed by handle
 	free      []int32  // free slab slots (slots are generation-counted)
-	cal       calendar // two-level wheel + overflow tier (see queue.go)
-	heap      *qheap   // non-nil ⇒ Config.LegacyHeap scheduler
+	queue     qheap    // pending events in dispatch order (see queue.go)
 	bufs      [][]byte // pooled datagram buffers for the unfragmented path
 	rng       *rand.Rand
 	hosts     map[IP]*Host
@@ -154,9 +148,6 @@ func New(cfg Config) *Network {
 		loss:      loss,
 		mtu:       mtu,
 		mtuOvr:    make(map[[2]IP]int),
-	}
-	if cfg.LegacyHeap {
-		n.heap = &qheap{}
 	}
 	return n
 }
@@ -409,8 +400,8 @@ type Timer struct {
 // reports whether the cancellation was effective. A Timer whose event has
 // already fired (and whose slab slot may have been recycled for a later
 // event) safely reports false. Cancellation is a tombstone: the event
-// stays queued and its slot is reclaimed when a sweep reaches it, so
-// cancelling is O(1) no matter how many dead events pile up.
+// stays queued and its slot is reclaimed when it reaches the top of the
+// queue, so cancelling is O(1) no matter how many dead events pile up.
 func (t Timer) Cancel() bool {
 	if t.net == nil {
 		return false
@@ -420,9 +411,6 @@ func (t Timer) Cancel() bool {
 		return false
 	}
 	ev.cancelled = true
-	if c := &t.net.cal; c.peekValid && c.peekItem.h == t.idx {
-		c.peekValid = false // the cached minimum just became a tombstone
-	}
 	return true
 }
 
@@ -472,12 +460,7 @@ func (n *Network) setNow(ns int64) {
 // Step executes the next pending event, if any, advancing virtual time to
 // it. It reports whether an event was executed.
 func (n *Network) Step() bool {
-	var h int32
-	if n.heap != nil {
-		h = n.heapPop()
-	} else {
-		h = n.popMin()
-	}
+	h := n.heapPop()
 	if h < 0 {
 		return false
 	}
@@ -528,27 +511,12 @@ func (n *Network) runUntil(until time.Time) int {
 // RunFor executes events for d of virtual time from now.
 func (n *Network) RunFor(d time.Duration) { n.Run(n.now.Add(d)) }
 
-// NextEventAt reports when the earliest pending (non-cancelled) event is
-// scheduled. ok is false when the queue is empty. Long-horizon drivers use
-// it to decide how far they can FastForward.
-func (n *Network) NextEventAt() (when time.Time, ok bool) {
-	ns, ok := n.nextEventNs()
-	if !ok {
-		return time.Time{}, false
-	}
-	return n.start.Add(time.Duration(ns)), true
-}
-
-// nextEventNs is NextEventAt in epoch-nanosecond form. It sweeps (and
-// recycles) tombstoned events it encounters but never advances the wheel
-// position — peeking is free of side effects on ordering.
+// nextEventNs reports when the earliest pending (non-cancelled) event is
+// scheduled, in nanoseconds since the epoch; ok is false when the queue
+// is empty. It reclaims tombstones at the top of the queue but never
+// reorders live events — peeking has no effect on dispatch order.
 func (n *Network) nextEventNs() (whenNs int64, ok bool) {
-	var it qitem
-	if n.heap != nil {
-		it, ok = n.heapPeek()
-	} else {
-		it, ok = n.peekMin()
-	}
+	it, ok := n.heapPeek()
 	return it.when, ok
 }
 
@@ -556,10 +524,11 @@ func (n *Network) nextEventNs() (whenNs int64, ok bool) {
 // simulation: it advances virtual time by d, executing any events that
 // fall inside the window, and returns how many events ran. When the
 // window holds no events — the common case between two scheduled Chronos
-// sync rounds — the hop is O(1): no per-interval ticking, no heap
-// traffic, so simulating a decade of idle wire time costs the same as
-// simulating a minute. core's scenario sync loop uses the returned
-// event count to skip re-sampling across provably idle windows.
+// sync rounds — the hop is one look at the top of the queue (past any
+// cancelled events there) and a clock update: no per-interval ticking, so
+// simulating a decade of idle wire time costs the same as simulating a
+// minute. core's scenario sync loop uses the returned event count to skip
+// re-sampling across provably idle windows.
 func (n *Network) FastForward(d time.Duration) int {
 	if d < 0 {
 		d = 0
@@ -595,13 +564,12 @@ const (
 	evTransmit
 )
 
-// event is a slab slot. when is nanoseconds since the network epoch — a
-// single int64 comparison orders the queue instead of time.Time struct
-// copies. gen is bumped on every recycle so a stale Timer cannot cancel
-// the slot's next occupant; cancelled marks a tombstone awaiting sweep.
+// event is a slab slot. when is nanoseconds since the network epoch, the
+// time Step advances the clock to. gen is bumped on every recycle so a
+// stale Timer cannot cancel the slot's next occupant; cancelled marks a
+// tombstone awaiting reclamation.
 type event struct {
 	when      int64
-	seq       uint64
 	fn        func()
 	pkt       Packet
 	buf       []byte // pooled payload backing, released on recycle

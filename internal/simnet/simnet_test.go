@@ -536,9 +536,8 @@ func TestFastForwardRunsWindowEvents(t *testing.T) {
 		t.Fatalf("fired = %v, want [1 3]", fired)
 	}
 	// The out-of-window event is still pending.
-	when, ok := n.NextEventAt()
-	if !ok || when.Sub(n.Now()) != 5*time.Second {
-		t.Fatalf("next event at %v ok=%v, want +5s", when, ok)
+	if when, ok := n.nextEventNs(); !ok || when-n.nowNs != int64(5*time.Second) {
+		t.Fatalf("next event at %v ok=%v, want +5s", time.Duration(when-n.nowNs), ok)
 	}
 	if ran := n.FastForward(5 * time.Second); ran != 1 {
 		t.Fatal("pending event lost across fast-forwards")
@@ -548,17 +547,28 @@ func TestFastForwardRunsWindowEvents(t *testing.T) {
 	}
 }
 
-func TestNextEventAtSkipsCancelled(t *testing.T) {
+// TestNextEventSkipsCancelled: a cancelled event is invisible to the
+// peek that bounds FastForward's window. The next event is the live one
+// behind it, and a window that holds only the tombstone runs nothing.
+func TestNextEventSkipsCancelled(t *testing.T) {
 	n := New(Config{Seed: 9})
 	early := n.After(time.Second, func() {})
 	n.After(2*time.Second, func() {})
 	early.Cancel()
-	when, ok := n.NextEventAt()
-	if !ok || when.Sub(n.Now()) != 2*time.Second {
-		t.Fatalf("NextEventAt = %v ok=%v, want the live +2s event", when, ok)
+	if when, ok := n.nextEventNs(); !ok || when != int64(2*time.Second) {
+		t.Fatalf("next event at %v ok=%v, want the live +2s event", time.Duration(when), ok)
 	}
-	if _, ok := New(Config{Seed: 1}).NextEventAt(); ok {
-		t.Fatal("NextEventAt reported an event on an empty queue")
+	if ran := n.FastForward(1500 * time.Millisecond); ran != 0 {
+		t.Fatalf("fast-forward over the cancelled event ran %d events, want 0", ran)
+	}
+	if ran := n.FastForward(time.Second); ran != 1 {
+		t.Fatalf("fast-forward over the live event ran %d events, want 1", ran)
+	}
+	if _, ok := n.nextEventNs(); ok {
+		t.Fatal("next event reported on a drained queue")
+	}
+	if _, ok := New(Config{Seed: 1}).nextEventNs(); ok {
+		t.Fatal("next event reported on an empty queue")
 	}
 }
 
