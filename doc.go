@@ -37,10 +37,10 @@
 //
 // internal/shiftsim is the long-horizon shift engine: it validates the
 // paper's headline "decades to shift" bound empirically instead of
-// assuming the closed form. The Chronos decision core (sample m, trim
-// 2d, C1/C2, K-failure panic escalation) is extracted into
-// chronos.Rule/Round and shared between the packet client and the
-// engine, which drives it over weeks-to-years of virtual time against
+// assuming the closed form. The Chronos round (sample m, trim 2d, C1/C2,
+// K-failure panic escalation) is one I/O-free driver, chronos.Round,
+// that the packet client, the real-socket wirenet.Syncer and the engine
+// all run; the engine drives it over weeks-to-years of virtual time against
 // adaptive attacker strategies (greedy, stealth, intermittent,
 // honest-until-threshold — all reading the client's clock error off its
 // own requests). A round-compression fast path (its own virtual clock;

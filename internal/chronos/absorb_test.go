@@ -30,7 +30,7 @@ func (r *refMerge) has(ip simnet.IP) bool {
 	return false
 }
 
-func (r *refMerge) absorb(idx int, now int64, res dnsresolver.Result) {
+func (r *refMerge) absorb(idx int, res dnsresolver.Result) {
 	if res.Err != nil {
 		return
 	}
@@ -58,7 +58,7 @@ func (r *refMerge) absorb(idx int, now int64, res dnsresolver.Result) {
 		if r.cfg.PoolTarget > 0 && len(r.pool) >= r.cfg.PoolTarget {
 			return
 		}
-		r.pool = append(r.pool, PoolEntry{IP: simnet.IP(rr.A), AddedAt: now, QueryIdx: idx})
+		r.pool = append(r.pool, PoolEntry{IP: simnet.IP(rr.A), QueryIdx: idx})
 	}
 }
 
@@ -162,7 +162,7 @@ func TestAbsorbMatchesReferenceMerge(t *testing.T) {
 				skipped++
 			}
 			c.absorbPoolResponse(step, res)
-			ref.absorb(step, n.NowUnixNano(), res)
+			ref.absorb(step, res)
 
 			if !slices.Equal(c.pool, ref.pool) {
 				t.Fatalf("trial %d step %d (cfg %+v): pool\n got %v\nwant %v", trial, step, cfg, c.pool, ref.pool)

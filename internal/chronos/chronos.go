@@ -162,19 +162,13 @@ type Stats struct {
 	Demobilized     uint64 // servers demobilized by believed DENY/RSTR kisses
 }
 
-// PoolEntry records one pool member and how it got there. AddedAt is
-// virtual time as Unix nanoseconds rather than a time.Time: a time.Time
-// drags a *Location pointer into every entry, and at fleet scale the
-// pool slices of ~100k live clients are exactly what the GC would then
-// have to scan. A pointer-free PoolEntry keeps them in noscan spans.
+// PoolEntry records one pool member and the pool-generation query that
+// added it. It stays pointer-free: at fleet scale the pool slices of
+// ~100k live clients then sit in noscan spans the GC never walks.
 type PoolEntry struct {
 	IP       simnet.IP
-	AddedAt  int64 // virtual time the entry joined, Unix ns
-	QueryIdx int   // which pool-generation query produced it (1-based)
+	QueryIdx int // which pool-generation query produced it (1-based; 0 = seeded)
 }
-
-// AddedTime returns the entry's join time as a time.Time.
-func (e PoolEntry) AddedTime() time.Time { return time.Unix(0, e.AddedAt) }
 
 // Lookuper is the client's DNS dependency (an alias of the shared
 // dnsresolver.Lookuper): *dnsresolver.Stub satisfies it over the wire, a
@@ -200,7 +194,7 @@ type Client struct {
 
 	stopped bool
 	timer   simnet.Timer
-	round   *Round
+	round   Round
 	stats   Stats
 	wireBuf []byte // NTP request encode scratch, reused across samples
 
@@ -435,7 +429,6 @@ func (c *Client) absorbPoolResponse(idx int, res dnsresolver.Result) {
 	if res.Err != nil {
 		return
 	}
-	now := c.host.Net().NowUnixNano()
 	// count is how many A records the response can still contribute; when
 	// no response policy is armed we skip the validation pre-pass and use
 	// the (never smaller) RR total, which only loosens the reservation
@@ -490,7 +483,7 @@ func (c *Client) absorbPoolResponse(idx int, res dnsresolver.Result) {
 			}
 			c.poolReserve(need)
 		}
-		c.poolAdd(PoolEntry{IP: ip, AddedAt: now, QueryIdx: idx})
+		c.poolAdd(PoolEntry{IP: ip, QueryIdx: idx})
 	}
 	c.lastSet = res.SetID
 }
@@ -528,13 +521,12 @@ func (c *Client) SeedPool(ips []simnet.IP) error {
 	if len(ips) == 0 {
 		return ErrPoolEmpty
 	}
-	now := c.host.Net().NowUnixNano()
 	c.poolReserve(len(ips))
 	for _, ip := range ips {
 		if c.poolHas(ip) {
 			continue
 		}
-		c.poolAdd(PoolEntry{IP: ip, AddedAt: now})
+		c.poolAdd(PoolEntry{IP: ip})
 	}
 	c.poolBuilt = true
 	c.scheduleRound(c.cfg.SyncInterval)
@@ -554,13 +546,12 @@ func (c *Client) scheduleRound(d time.Duration) {
 	c.timer = c.host.Net().After(d, c.startRoundFn)
 }
 
-// startRound begins one Chronos sync round with a fresh escalation state.
+// startRound opens one Chronos sync round with a fresh round driver.
 func (c *Client) startRound() {
 	if c.stopped || len(c.pool) == 0 {
 		return
 	}
-	c.stats.Rounds++
-	c.round = NewRound(c.cfg.Retries)
+	c.round = NewRound(&c.rule, &c.stats)
 	c.sampleAttempt()
 }
 
@@ -574,28 +565,27 @@ func (c *Client) sampleAttempt() {
 	for i, j := range idx {
 		sample[i] = c.pool[j].IP
 	}
-	c.querySample(sample, c.evaluate)
+	c.querySample(sample)
 }
 
-// querySample performs one-shot NTP exchanges with every sampled server
-// and delivers the collected offset samples after the query deadline.
-func (c *Client) querySample(sample []simnet.IP, done func([]time.Duration)) {
-	net := c.host.Net()
+// querySample performs one-shot NTP exchanges with every listed server
+// and feeds the collected offsets to the round driver after the query
+// deadline.
+func (c *Client) querySample(sample []simnet.IP) {
 	offsets := make([]time.Duration, 0, len(sample))
 	for _, ip := range sample {
-		c.queryOne(simnet.Addr{IP: ip, Port: ntpwire.Port}, func(off time.Duration, ok bool) {
-			if ok {
-				offsets = append(offsets, off)
-			}
+		c.queryOne(simnet.Addr{IP: ip, Port: ntpwire.Port}, func(off time.Duration) {
+			offsets = append(offsets, off)
 		})
 	}
-	net.After(c.cfg.QueryTimeout, func() { done(offsets) })
+	c.host.Net().After(c.cfg.QueryTimeout, func() { c.next(offsets) })
 }
 
-// queryOne sends a single NTP client request with origin validation
-// and, when an auth policy is configured, per-server credentials and
-// Kiss-o'-Death handling.
-func (c *Client) queryOne(addr simnet.Addr, cb func(time.Duration, bool)) {
+// queryOne sends a single NTP client request — with this server's
+// credentials when an auth policy is configured — and reports the
+// measured offset through cb if an acceptable reply arrives before the
+// query deadline. ntpauth.CheckReply classifies every reply.
+func (c *Client) queryOne(addr simnet.Addr, cb func(time.Duration)) {
 	net := c.host.Net()
 	var auth *ntpauth.ClientAuth
 	var kst *ntpauth.AssocState
@@ -607,68 +597,47 @@ func (c *Client) queryOne(addr simnet.Addr, cb func(time.Duration, bool)) {
 			// simply never arrives, shrinking this round's reply count —
 			// which is exactly how denial pressure reaches the C1/C2 and
 			// quorum rules.
-			cb(0, false)
 			return
 		}
 	}
 	port := c.host.EphemeralPort()
 	if port == 0 {
-		cb(0, false)
 		return
 	}
-	trueT1 := net.Now()
-	t1 := c.clk.Now(trueT1)
-	answered := false
+	t1 := c.clk.Now(net.Now())
+	origin := ntpwire.TimestampFromTime(t1)
 	var timeout simnet.Timer
 	err := c.host.Listen(port, func(now time.Time, meta simnet.Meta, payload []byte) {
-		if answered || meta.From != addr {
+		if meta.From != addr {
 			return
 		}
 		var resp ntpwire.Packet
-		if err := ntpwire.DecodeInto(&resp, payload); err != nil {
+		v := ntpauth.CheckReply(&resp, payload, origin, auth, kst)
+		switch v {
+		case ntpauth.ReplyIgnore:
 			return
-		}
-		if kst != nil && ntpauth.IsKoD(&resp) {
-			// Believe only kisses that echo our origin, and only
-			// authenticated ones on require-auth associations (RFC 8915
-			// §5.7) — the property that disarms forged-KoD denial.
-			if resp.OriginTime != ntpwire.TimestampFromTime(t1) {
-				return
-			}
+		case ntpauth.ReplyAuthReject:
+			c.stats.AuthRejects++
+			return
+		case ntpauth.ReplyKissBelieved, ntpauth.ReplyKissUnbelieved:
 			c.stats.KoDKisses++
-			authed, _ := auth.VerifyResponse(payload)
-			wasUsable := kst.Usable()
-			kst.OnKoD(ntpauth.Code(&resp), authed, auth.RequiresAuth())
-			if wasUsable && !kst.Usable() {
+			if !kst.Usable() {
+				// Only usable servers are queried, so this kiss is the
+				// believed DENY/RSTR that demobilized it.
 				c.stats.Demobilized++
 			}
-			answered = true
-			c.host.Close(port)
-			timeout.Cancel()
-			cb(0, false)
-			return
 		}
-		if !ntpwire.ValidServerResponse(&resp, ntpwire.TimestampFromTime(t1)) {
-			return
-		}
-		if auth != nil {
-			if _, acceptable := auth.VerifyResponse(payload); !acceptable {
-				c.stats.AuthRejects++
-				return
-			}
-		}
-		answered = true
+		// The reply ends the exchange. Closing the port drops any later
+		// reply, and cancelling the timeout leaves no dead event behind —
+		// at long horizons these no-op wakeups dominate the event queue.
 		c.host.Close(port)
-		// Cancel the pending timeout so answered queries leave no dead
-		// event behind — at long horizons these no-op wakeups dominate
-		// the event queue.
 		timeout.Cancel()
-		t4 := c.clk.Now(now)
-		off, _ := ntpwire.OffsetDelay(t1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), t4)
-		cb(off, true)
+		if v == ntpauth.ReplyAccept {
+			off, _ := ntpwire.OffsetDelay(t1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), c.clk.Now(now))
+			cb(off)
+		}
 	})
 	if err != nil {
-		cb(0, false)
 		return
 	}
 	var req ntpwire.Packet
@@ -676,69 +645,36 @@ func (c *Client) queryOne(addr simnet.Addr, cb func(time.Duration, bool)) {
 	// SendUDP copies the payload into a pooled buffer, so one request
 	// scratch per client serves every sample without allocating. The
 	// auth policy appends this server's credentials (no-op when nil).
-	c.wireBuf = req.AppendEncode(c.wireBuf[:0])
-	if auth != nil {
-		c.wireBuf = auth.SealRequest(c.wireBuf)
-	}
+	c.wireBuf = auth.SealRequest(req.AppendEncode(c.wireBuf[:0]))
 	_ = c.host.SendUDP(port, addr, c.wireBuf)
-	timeout = net.After(c.cfg.QueryTimeout, func() {
-		if !answered {
-			c.host.Close(port)
-			cb(0, false)
-		}
-	})
+	timeout = net.After(c.cfg.QueryTimeout, func() { c.host.Close(port) })
 }
 
-// evaluate applies the Chronos update rule to one attempt's samples and
-// follows the Round state machine's escalation decision.
-func (c *Client) evaluate(offsets []time.Duration) {
+// next feeds one query's offsets to the round driver and carries out the
+// step it returns. Panic mode queries every pool server and trusts the
+// middle third's average: with an honest-majority pool this restores
+// correct time; with an attacker-supermajority pool (the paper's end
+// state) it hands the clock to the attacker with no further checks.
+func (c *Client) next(offsets []time.Duration) {
 	if c.stopped {
 		return
 	}
-	v := c.rule.Evaluate(offsets)
-	if v.Reason == FailInsufficient {
-		c.stats.IncompleteRound++
-	}
-	switch c.round.Submit(v) {
-	case Apply:
-		now := c.host.Net().Now()
-		c.clk.Step(now, v.Update)
-		c.stats.Updates++
-		c.scheduleRound(c.cfg.SyncInterval)
+	v, act := c.round.Next(offsets)
+	switch act {
 	case Resample:
-		c.stats.Resamples++
 		c.sampleAttempt()
 	case Panic:
-		c.panic()
-	}
-}
-
-// panic queries every pool server, trims the top and bottom thirds, and
-// trusts the middle third's average — the Chronos recovery mode. With an
-// honest-majority pool this restores correct time; with an
-// attacker-supermajority pool (the paper's end state) it hands the clock
-// to the attacker with no further checks.
-func (c *Client) panic() {
-	c.stats.Panics++
-	all := make([]simnet.IP, len(c.pool))
-	for i, e := range c.pool {
-		all[i] = e.IP
-	}
-	c.querySample(all, func(offsets []time.Duration) {
-		if c.stopped {
-			return
+		all := make([]simnet.IP, len(c.pool))
+		for i, e := range c.pool {
+			all[i] = e.IP
 		}
-		avg, ok := c.rule.PanicUpdate(offsets)
-		if !ok {
-			c.stats.IncompleteRound++
-			c.scheduleRound(c.cfg.SyncInterval)
-			return
-		}
-		now := c.host.Net().Now()
-		c.clk.Step(now, avg)
-		c.stats.PanicUpdates++
+		c.querySample(all)
+	case Apply:
+		c.clk.Step(c.host.Net().Now(), v.Update)
 		c.scheduleRound(c.cfg.SyncInterval)
-	})
+	case Stop:
+		c.scheduleRound(c.cfg.SyncInterval)
+	}
 }
 
 // trimmed sorts xs in place and returns the subslice with trim elements

@@ -5,13 +5,16 @@ import (
 	"time"
 )
 
-// This file isolates the Chronos clock-update *decision procedure* from the
-// packet plumbing: Rule is the pure per-attempt acceptance test (trim, C1,
-// C2) and panic-mode computation, Round is the re-sample/panic escalation
-// state machine. The wire-driven Client delegates to both, and the
-// long-horizon shift engine (internal/shiftsim) drives the very same code
-// at round granularity — so "the round loop the closed-form bound models"
-// and "the round loop the simulation runs" are one implementation.
+// This file is the Chronos decision core, detached from any network: Rule
+// is the pure per-attempt acceptance test (trim, C1, C2, or the quorum)
+// and the panic-mode average, and Round is the round driver built on it —
+// the re-sample/panic escalation plus every round counter in Stats, as a
+// state machine that does no I/O. Each substrate — the simnet Client, the
+// real-socket wirenet.Syncer and the compressed shiftsim engine — keeps
+// only its own sample draw, queries, clock stepping and observers, feeds
+// each attempt's offsets to Round.Next and carries out the step it gets
+// back. So "the round loop the closed-form bound models" and "the round
+// loop every fidelity level runs" are one implementation.
 
 // FailReason classifies why one sampling attempt was rejected.
 type FailReason int
@@ -142,25 +145,26 @@ func (r Rule) evaluateQuorum(offsets []time.Duration) Verdict {
 // a full-pool sweep of n replies: the top and bottom thirds, ⌊n/3⌋ each.
 func PanicTrim(n int) int { return n / 3 }
 
-// PanicUpdate computes the panic-mode correction from a full-pool sweep:
+// panicUpdate computes the panic-mode correction from a full-pool sweep:
 // trim the top and bottom thirds and trust the middle third's average,
 // with no C1/C2 checks. ok is false when fewer than 3 replies arrived
 // (nothing survives the trim).
-func (r Rule) PanicUpdate(offsets []time.Duration) (update time.Duration, ok bool) {
+func (r Rule) panicUpdate(offsets []time.Duration) (update time.Duration, ok bool) {
 	if len(offsets) < 3 {
 		return 0, false
 	}
 	return mean(trimmed(offsets, PanicTrim(len(offsets)))), true
 }
 
-// Action is the escalation decision after one attempt.
+// Action is the round driver's next step for its substrate.
 type Action int
 
-// Escalation actions.
+// Round steps.
 const (
-	Apply    Action = iota // accept: step the clock by Verdict.Update
-	Resample               // re-sample m servers and try again
-	Panic                  // query the whole pool and trust the middle third
+	Apply    Action = iota // step the clock by Verdict.Update; the round is over
+	Resample               // query a fresh sample of m servers and feed its offsets
+	Panic                  // query the whole pool and feed the sweep's offsets
+	Stop                   // the round is over and the clock stays as it is
 )
 
 // String implements fmt.Stringer.
@@ -172,35 +176,67 @@ func (a Action) String() string {
 		return "resample"
 	case Panic:
 		return "panic"
+	case Stop:
+		return "stop"
 	default:
 		return "Action(?)"
 	}
 }
 
-// Round tracks one sync round's re-sample/panic escalation. A fresh Round
-// is created per round; Submit folds in each attempt's verdict. Per the
-// NDSS'18 spec the client re-samples up to K (= Config.Retries) times, so
-// panic mode triggers on the (K+1)-th consecutive failed attempt of a
+// Round drives one sync round. It opens with a fresh sample: the
+// substrate queries the servers it draws, hands the offsets that came
+// back to Next, and carries out the step Next returns until that step is
+// Apply or Stop. Per the NDSS'18 spec the client re-samples up to K
+// (= Config.Retries) times, so panic mode triggers on the (K+1)-th
+// consecutive failed attempt of a round. A Round is a value: substrates
+// keep it on the stack or in their own state, never on the heap per
 // round.
 type Round struct {
-	retries  int
+	rule     *Rule
+	stats    *Stats
 	failures int
+	panicked bool
 }
 
-// NewRound starts a round with the given re-sample budget K.
-func NewRound(retries int) *Round { return &Round{retries: retries} }
-
-// Submit records one attempt's verdict and returns the escalation action.
-func (r *Round) Submit(v Verdict) Action {
-	if v.OK {
-		return Apply
-	}
-	r.failures++
-	if r.failures <= r.retries {
-		return Resample
-	}
-	return Panic
+// NewRound opens a round under rule. The round counts itself and every
+// decision it makes into stats: Rounds, Updates, Resamples, Panics,
+// PanicUpdates and IncompleteRound.
+func NewRound(rule *Rule, stats *Stats) Round {
+	stats.Rounds++
+	return Round{rule: rule, stats: stats}
 }
 
-// Failures reports the consecutive failed attempts so far this round.
-func (r *Round) Failures() int { return r.failures }
+// Next folds in the offsets of the query the previous step asked for
+// (rule evaluation sorts them in place) and returns the verdict and the
+// next step. After a sample the verdict is the rule's and the step is
+// Apply, Resample or Panic; after the panic sweep the verdict holds the
+// middle third's average (OK) or FailInsufficient, and the step is Apply
+// or Stop.
+func (d *Round) Next(offsets []time.Duration) (Verdict, Action) {
+	if d.panicked {
+		upd, ok := d.rule.panicUpdate(offsets)
+		if !ok {
+			d.stats.IncompleteRound++
+			return Verdict{Reason: FailInsufficient}, Stop
+		}
+		d.stats.PanicUpdates++
+		return Verdict{OK: true, Update: upd}, Apply
+	}
+	v := d.rule.Evaluate(offsets)
+	if v.Reason == FailInsufficient {
+		d.stats.IncompleteRound++
+	}
+	switch {
+	case v.OK:
+		d.stats.Updates++
+		return v, Apply
+	case d.failures < d.rule.cfg.Retries:
+		d.failures++
+		d.stats.Resamples++
+		return v, Resample
+	default:
+		d.panicked = true
+		d.stats.Panics++
+		return v, Panic
+	}
+}

@@ -11,39 +11,77 @@ import (
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
+// failing returns a fresh 9-sample attempt that passes C1 (zero spread)
+// but fails C2 (every server 10 s off).
+func failing() []time.Duration {
+	out := make([]time.Duration, 9)
+	for i := range out {
+		out[i] = 10 * time.Second
+	}
+	return out
+}
+
 // TestRoundPanicsAfterExactlyKResamples encodes the NDSS'18 escalation
-// spec: the client re-samples up to K (= Retries) times, so panic mode
-// triggers on the (K+1)-th consecutive failed attempt — never earlier.
+// spec at the round driver: the client re-samples up to K (= Retries)
+// times, so panic mode triggers on the (K+1)-th consecutive failed
+// attempt — never earlier — and the sweep that follows ends the round.
 func TestRoundPanicsAfterExactlyKResamples(t *testing.T) {
 	for _, k := range []int{0, 1, 2, 5} {
-		r := NewRound(k)
-		fail := Verdict{Reason: FailC2}
+		rule := NewRule(Config{SampleSize: 9, MinReplies: 6})
+		rule.cfg.Retries = k // 0 would otherwise take the default
+		var st Stats
+		r := NewRound(&rule, &st)
 		for attempt := 0; attempt < k; attempt++ {
-			if got := r.Submit(fail); got != Resample {
-				t.Fatalf("K=%d: failed attempt %d escalated to %v, want resample", k, attempt, got)
+			if v, got := r.Next(failing()); got != Resample || v.Reason != FailC2 {
+				t.Fatalf("K=%d: failed attempt %d gave %v (%v), want resample", k, attempt, got, v.Reason)
 			}
 		}
-		if got := r.Submit(fail); got != Panic {
+		if _, got := r.Next(failing()); got != Panic {
 			t.Fatalf("K=%d: failure %d gave %v, want panic", k, k+1, got)
 		}
-		if r.Failures() != k+1 {
-			t.Fatalf("K=%d: recorded %d failures, want %d", k, r.Failures(), k+1)
+		sweep := []time.Duration{ms(-100), ms(7), ms(100)}
+		if v, got := r.Next(sweep); got != Apply || !v.OK || v.Update != ms(7) {
+			t.Fatalf("K=%d: sweep gave %v %+v, want apply 7ms", k, got, v)
 		}
+		want := Stats{Rounds: 1, Resamples: uint64(k), Panics: 1, PanicUpdates: 1}
+		if st != want {
+			t.Fatalf("K=%d: stats %+v, want %+v", k, st, want)
+		}
+	}
+
+	// A sweep with fewer than 3 replies stops the round without an update.
+	rule := NewRule(Config{SampleSize: 9, MinReplies: 6, Retries: 1})
+	var st Stats
+	r := NewRound(&rule, &st)
+	r.Next(nil)
+	if _, got := r.Next(nil); got != Panic {
+		t.Fatalf("second starved attempt gave %v, want panic", got)
+	}
+	if v, got := r.Next([]time.Duration{ms(1), ms(2)}); got != Stop || v.OK || v.Reason != FailInsufficient {
+		t.Fatalf("2-reply sweep gave %v %+v, want stop", got, v)
+	}
+	if want := (Stats{Rounds: 1, Resamples: 1, Panics: 1, IncompleteRound: 3}); st != want {
+		t.Fatalf("starved round stats %+v, want %+v", st, want)
 	}
 }
 
 // TestRoundSuccessBeforePanic: a success on any attempt applies the
 // update; the escalation never reaches panic when an attempt succeeds.
 func TestRoundSuccessBeforePanic(t *testing.T) {
-	r := NewRound(2)
-	if got := r.Submit(Verdict{Reason: FailC1}); got != Resample {
+	rule := NewRule(Config{SampleSize: 3, Trim: 1, MinReplies: 3})
+	var st Stats
+	r := NewRound(&rule, &st)
+	if _, got := r.Next([]time.Duration{0, ms(60), ms(120)}); got != Resample {
 		t.Fatalf("first failure: %v", got)
 	}
-	if got := r.Submit(Verdict{Reason: FailC2}); got != Resample {
+	if _, got := r.Next([]time.Duration{ms(40), ms(40), ms(40)}); got != Resample {
 		t.Fatalf("second failure: %v", got)
 	}
-	if got := r.Submit(Verdict{OK: true, Update: ms(3)}); got != Apply {
-		t.Fatalf("success after failures gave %v, want apply", got)
+	if v, got := r.Next([]time.Duration{ms(3), ms(3), ms(3)}); got != Apply || v.Update != ms(3) {
+		t.Fatalf("success after failures gave %v %+v, want apply 3ms", got, v)
+	}
+	if want := (Stats{Rounds: 1, Updates: 1, Resamples: 2}); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
 	}
 }
 
@@ -65,24 +103,24 @@ func TestPanicTrimOddPoolSizes(t *testing.T) {
 		{[]time.Duration{ms(-9), ms(-8), ms(-7), ms(10), ms(11), ms(12), ms(70), ms(80), ms(90)}, ms(11)},
 	}
 	for _, tc := range cases {
-		got, ok := rule.PanicUpdate(tc.offsets)
+		got, ok := rule.panicUpdate(tc.offsets)
 		if !ok {
-			t.Fatalf("PanicUpdate(%v) not ok", tc.offsets)
+			t.Fatalf("panicUpdate(%v) not ok", tc.offsets)
 		}
 		if got != tc.want {
-			t.Fatalf("PanicUpdate(n=%d) = %v, want %v", len(tc.offsets), got, tc.want)
+			t.Fatalf("panicUpdate(n=%d) = %v, want %v", len(tc.offsets), got, tc.want)
 		}
 		if trim := PanicTrim(len(tc.offsets)); len(tc.offsets)-2*trim < 1 {
 			t.Fatalf("n=%d: trim %d leaves no survivors", len(tc.offsets), trim)
 		}
 	}
 	// Unsorted input must behave identically: the rule sorts internally.
-	if got, _ := rule.PanicUpdate([]time.Duration{ms(100), ms(7), ms(-100)}); got != ms(7) {
-		t.Fatalf("PanicUpdate on unsorted input = %v, want 7ms", got)
+	if got, _ := rule.panicUpdate([]time.Duration{ms(100), ms(7), ms(-100)}); got != ms(7) {
+		t.Fatalf("panicUpdate on unsorted input = %v, want 7ms", got)
 	}
 	// Fewer than 3 replies: nothing survives the third-trimming.
-	if _, ok := rule.PanicUpdate([]time.Duration{ms(1), ms(2)}); ok {
-		t.Fatal("PanicUpdate accepted a 2-reply sweep")
+	if _, ok := rule.panicUpdate([]time.Duration{ms(1), ms(2)}); ok {
+		t.Fatal("panicUpdate accepted a 2-reply sweep")
 	}
 }
 

@@ -125,3 +125,102 @@ func FuzzAuthExtensions(f *testing.F) {
 		}
 	})
 }
+
+// FuzzClientReply drives CheckReply — the reply check every NTP client
+// in the stack runs — with arbitrary reply datagrams under four client
+// policies: no auth and no KoD handling, MAC optional, MAC required, and
+// NTS required. Invariants: no panics; a reply is accepted only when it
+// decodes to mode 4 with a non-zero stratum, echoes the origin, and an
+// independent copy of the policy accepts it; a kiss is classified only
+// for a KoD-aware caller, and believed only when it echoes the origin
+// and authenticates or the policy does not require it; only a believed
+// kiss touches the association state.
+func FuzzClientReply(f *testing.F) {
+	t1 := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
+	origin := ntpwire.TimestampFromTime(t1)
+	req := ntpwire.NewClientPacket(t1)
+	key := Key{ID: 3, Algo: AlgoSHA256, Secret: []byte("fuzz-sha256")}
+	table, _ := NewKeyTable(key)
+	srv, _ := NewNTSServer(bytes.Repeat([]byte{0x42}, 16))
+	const ntsSeed = 7
+	// ntsRequest establishes a fresh session and seals the fixed request,
+	// so every call's session expects the same unique identifier.
+	ntsRequest := func() (*NTSSession, []byte) {
+		sess, err := Establish(srv, ntsSeed, 1)
+		if err != nil {
+			panic(err)
+		}
+		raw, _ := sess.SealRequest(req.Encode())
+		return sess, raw
+	}
+
+	reply := ntpwire.Packet{Mode: ntpwire.ModeServer, Version: 4, Stratum: 2, OriginTime: origin,
+		ReceiveTime: origin + 1<<32, TransmitTime: origin + 2<<32}
+	var kiss ntpwire.Packet
+	FillKoD(&kiss, KissDENY, req, t1)
+	macSeal := func(p *ntpwire.Packet) []byte {
+		out, _ := NewMACer(table).AppendMAC(p.Encode(), key.ID, p.Encode())
+		return out
+	}
+	_, ntsRaw := ntsRequest()
+	srvAuth := &ServerAuth{Keys: table, NTS: srv}
+	var ra RequestAuth
+	srvAuth.Authenticate(ntsRaw, &ra)
+
+	f.Add(reply.Encode())                                                   // bare valid reply
+	f.Add(macSeal(&reply))                                                  // MAC-sealed reply
+	f.Add(srvAuth.SealResponse(reply.Encode(), &ra))                        // NTS-sealed reply
+	f.Add(kiss.Encode())                                                    // forged (bare) DENY kiss
+	f.Add(macSeal(&kiss))                                                   // authenticated DENY kiss
+	f.Add(append(reply.Encode(), make([]byte, 20)...))                      // zeroed MAC trailer
+	f.Add((&ntpwire.Packet{Mode: ntpwire.ModeServer, Stratum: 2}).Encode()) // no origin echo
+	f.Add([]byte{0x24})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sess, _ := ntsRequest()
+		twin, _ := ntsRequest()
+		policies := []struct {
+			auth, check *ClientAuth // check is the independent copy
+			kod         bool
+		}{
+			{nil, nil, false},
+			{&ClientAuth{Key: key}, &ClientAuth{Key: key}, true},
+			{&ClientAuth{Key: key, Require: true}, &ClientAuth{Key: key, Require: true}, true},
+			{&ClientAuth{NTS: sess, Require: true}, &ClientAuth{NTS: twin, Require: true}, true},
+		}
+		for i, p := range policies {
+			var kst *AssocState
+			if p.kod {
+				kst = new(AssocState)
+			}
+			var resp, dec ntpwire.Packet
+			decErr := ntpwire.DecodeInto(&dec, data)
+			got := CheckReply(&resp, data, origin, p.auth, kst)
+			authed, acceptable := p.check.VerifyResponse(data)
+			switch got {
+			case ReplyAccept:
+				if decErr != nil || dec.Mode != ntpwire.ModeServer || dec.Stratum == 0 || dec.OriginTime != origin || !acceptable {
+					t.Fatalf("policy %d accepted %+v (decode %v, acceptable %v)", i, dec, decErr, acceptable)
+				}
+			case ReplyAuthReject:
+				if p.auth == nil || acceptable || decErr != nil || !ntpwire.ValidServerResponse(&dec, origin) {
+					t.Fatalf("policy %d auth-rejected a reply its policy accepts", i)
+				}
+			case ReplyKissBelieved, ReplyKissUnbelieved:
+				if kst == nil || decErr != nil || !isKoD(&dec) || dec.OriginTime != origin {
+					t.Fatalf("policy %d classified %+v as a kiss", i, dec)
+				}
+				believed := authed || !p.auth.RequiresAuth()
+				if believed != (got == ReplyKissBelieved) {
+					t.Fatalf("policy %d: kiss %v with authed=%v require=%v", i, got, authed, p.auth.RequiresAuth())
+				}
+			}
+			if kst != nil && got != ReplyKissBelieved && *kst != (AssocState{}) {
+				t.Fatalf("policy %d: %v changed the association state to %+v", i, got, *kst)
+			}
+			if got == ReplyKissBelieved && Demobilize(Code(&dec)) != kst.Dead {
+				t.Fatalf("policy %d: believed %v kiss left Dead=%v", i, Code(&dec), kst.Dead)
+			}
+		}
+	})
+}

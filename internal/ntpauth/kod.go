@@ -45,9 +45,9 @@ func ParseKissCode(s string) KissCode {
 	}
 }
 
-// IsKoD reports whether p is a Kiss-o'-Death packet: a mode-4 reply
+// isKoD reports whether p is a Kiss-o'-Death packet: a mode-4 reply
 // with stratum 0.
-func IsKoD(p *ntpwire.Packet) bool {
+func isKoD(p *ntpwire.Packet) bool {
 	return p.Mode == ntpwire.ModeServer && p.Stratum == 0
 }
 
@@ -85,16 +85,10 @@ type AssocState struct {
 	RateStrikes int  // RATE kisses received: back-off pressure
 }
 
-// OnKoD folds one kiss into the state machine. authenticated reports
-// whether the KoD packet itself passed the association's authentication
-// policy; per RFC 8915 §5.7 an authenticated association MUST ignore
-// unauthenticated kisses (this is exactly what disarms the forged-KoD
-// denial move), while an unauthenticated association believes any kiss.
-// requireAuth marks the association as authenticated.
-func (s *AssocState) OnKoD(code KissCode, authenticated, requireAuth bool) {
-	if requireAuth && !authenticated {
-		return
-	}
+// OnKoD folds one believed kiss into the state machine: DENY and RSTR
+// demobilize the association, RATE adds back-off pressure. Whether a
+// kiss is believed at all is CheckReply's decision.
+func (s *AssocState) OnKoD(code KissCode) {
 	switch {
 	case Demobilize(code):
 		s.Dead = true

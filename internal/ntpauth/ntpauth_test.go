@@ -212,8 +212,8 @@ func TestKoDPacketAndStateMachine(t *testing.T) {
 	req := ntpwire.NewClientPacket(now)
 	var kod ntpwire.Packet
 	FillKoD(&kod, KissDENY, req, now)
-	if !IsKoD(&kod) || Code(&kod) != KissDENY {
-		t.Fatalf("FillKoD: IsKoD=%v code=%v", IsKoD(&kod), Code(&kod))
+	if !isKoD(&kod) || Code(&kod) != KissDENY {
+		t.Fatalf("FillKoD: isKoD=%v code=%v", isKoD(&kod), Code(&kod))
 	}
 	if kod.OriginTime != req.TransmitTime {
 		t.Fatal("KoD does not echo origin")
@@ -230,17 +230,19 @@ func TestKoDPacketAndStateMachine(t *testing.T) {
 	}
 
 	var s AssocState
-	s.OnKoD(KissRATE, false, false)
+	s.OnKoD(KissRATE)
 	if s.Dead || s.RateStrikes != 1 {
 		t.Fatalf("after RATE: %+v", s)
 	}
-	s.OnKoD(KissDENY, false, true) // unauthenticated kiss on a require-auth assoc: ignored
-	if s.Dead {
-		t.Fatal("require-auth association believed an unauthenticated DENY")
+	// An unauthenticated kiss on a require-auth association is not
+	// believed, so it never reaches the state machine.
+	var resp ntpwire.Packet
+	requireAuth := &ClientAuth{Key: testKey(5, AlgoSHA256), Require: true}
+	if got := CheckReply(&resp, kod.Encode(), req.TransmitTime, requireAuth, &s); got != ReplyKissUnbelieved || s.Dead {
+		t.Fatalf("require-auth association: %v, state %+v", got, s)
 	}
-	s.OnKoD(KissDENY, true, true)
-	if !s.Dead || s.Usable() {
-		t.Fatal("authenticated DENY did not demobilize")
+	if got := CheckReply(&resp, kod.Encode(), req.TransmitTime, nil, &s); got != ReplyKissBelieved || !s.Dead || s.Usable() {
+		t.Fatalf("unauthenticated association: %v, state %+v; want a demobilizing DENY", got, s)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"chronosntp/internal/ntpwire"
 )
@@ -46,13 +47,13 @@ func newAESGCM(key []byte) (cipher.AEAD, error) {
 }
 
 // NTSServer is the server half of the NTS layer: it holds the master
-// cookie key under which session keys travel, opaque to clients. Not
-// safe for concurrent use (the nonce counter and scratch are shared);
-// each responder owns one.
+// cookie key under which session keys travel, opaque to clients. Safe for
+// concurrent use: the nonce counter is atomic, so nonces stay unique
+// across every goroutine serving under one master key, and each call
+// builds its nonces in its own buffer.
 type NTSServer struct {
-	aead  cipher.AEAD
-	ctr   uint64
-	nonce [ntsNonceSize]byte
+	aead cipher.AEAD
+	ctr  atomic.Uint64
 }
 
 // NewNTSServer builds a server from a 16/24/32-byte master key.
@@ -64,17 +65,18 @@ func NewNTSServer(master []byte) (*NTSServer, error) {
 	return &NTSServer{aead: aead}, nil
 }
 
-func (s *NTSServer) nextNonce() []byte {
-	s.ctr++
-	binary.BigEndian.PutUint64(s.nonce[ntsNonceSize-8:], s.ctr)
-	return s.nonce[:]
+// nextNonce writes the next counter value into the caller's nonce
+// buffer and returns it.
+func (s *NTSServer) nextNonce(nonce *[ntsNonceSize]byte) []byte {
+	binary.BigEndian.PutUint64(nonce[ntsNonceSize-8:], s.ctr.Add(1))
+	return nonce[:]
 }
 
-// MintCookie appends one fresh opaque cookie carrying (c2s, s2c) onto
-// dst. Every cookie is unique: the nonce is a strictly increasing
-// counter.
-func (s *NTSServer) MintCookie(dst []byte, c2s, s2c *[ntsKeySize]byte) []byte {
-	nonce := s.nextNonce()
+// mintCookie appends one fresh opaque cookie carrying (c2s, s2c) onto
+// dst, building its nonce in buf. Every cookie is unique: the nonce is a
+// strictly increasing counter.
+func (s *NTSServer) mintCookie(dst []byte, buf *[ntsNonceSize]byte, c2s, s2c *[ntsKeySize]byte) []byte {
+	nonce := s.nextNonce(buf)
 	dst = append(dst, nonce...)
 	var keys [2 * ntsKeySize]byte
 	copy(keys[:ntsKeySize], c2s[:])
@@ -194,14 +196,13 @@ func (s *NTSServer) VerifyRequest(raw []byte, st *NTSRequest) bool {
 // steady at one cookie consumed, one returned).
 func (s *NTSServer) SealResponse(out []byte, st *NTSRequest) []byte {
 	out = ntpwire.AppendExtension(out, ntpwire.ExtUniqueIdentifier, st.UID[:])
-	fresh := s.MintCookie(make([]byte, 0, CookieSize), &st.C2S, &st.S2C)
+	var nonce [ntsNonceSize]byte
+	fresh := s.mintCookie(make([]byte, 0, CookieSize), &nonce, &st.C2S, &st.S2C)
 	s2cAEAD, err := newAESGCM(st.S2C[:])
 	if err != nil {
 		return out
 	}
-	var nonce [ntsNonceSize]byte
-	copy(nonce[:], s.nextNonce())
-	return appendAuthenticator(out, s2cAEAD, nonce[:], fresh)
+	return appendAuthenticator(out, s2cAEAD, s.nextNonce(&nonce), fresh)
 }
 
 // NTSSession is one client association's NTS state after key
@@ -242,8 +243,9 @@ func Establish(srv *NTSServer, seed int64, n int) (*NTSSession, error) {
 	if sess.s2cAEAD, err = newAESGCM(sess.s2c[:]); err != nil {
 		return nil, err
 	}
+	var nonce [ntsNonceSize]byte
 	for i := 0; i < n; i++ {
-		sess.cookies = append(sess.cookies, srv.MintCookie(make([]byte, 0, CookieSize), &sess.c2s, &sess.s2c))
+		sess.cookies = append(sess.cookies, srv.mintCookie(make([]byte, 0, CookieSize), &nonce, &sess.c2s, &sess.s2c))
 	}
 	return sess, nil
 }

@@ -32,12 +32,25 @@ func (k AuthKind) String() string {
 	}
 }
 
-// RequestAuth is the classification of one inbound request datagram.
+// RequestAuth is the classification of one inbound request datagram. It
+// also carries the caller's MAC scratch across requests, so one
+// RequestAuth per serving goroutine is all the state a shared ServerAuth
+// needs.
 type RequestAuth struct {
 	Kind  AuthKind
 	KeyID uint32 // MAC key that verified (Kind == AuthMAC)
 	Bad   bool   // authentication material present but invalid
 	NTS   NTSRequest
+
+	mac *MACer // digest scratch, kept across requests
+}
+
+// macer returns the scratch MACer over keys, building it on first use.
+func (ra *RequestAuth) macer(keys *KeyTable) *MACer {
+	if ra.mac == nil || ra.mac.table != keys {
+		ra.mac = NewMACer(keys)
+	}
+	return ra.mac
 }
 
 // Authenticated reports whether the request carried valid credentials.
@@ -47,27 +60,20 @@ func (ra *RequestAuth) Authenticated() bool { return ra.Kind != AuthNone && !ra.
 // it accepts, its NTS master key, and whether unauthenticated clients
 // are served or kissed off. Deny models an access-denying (or
 // attacker-impersonated) server that answers every request with a KoD.
-// Not safe for concurrent use; each read loop owns one.
+// Safe for concurrent use as long as each goroutine passes its own
+// RequestAuth: the policy itself is read-only while serving.
 type ServerAuth struct {
 	Keys    *KeyTable  // symmetric keys accepted (nil: MAC requests are Bad)
 	NTS     *NTSServer // NTS cookie key (nil: NTS requests are Bad)
 	Require bool       // true: unauthenticated requests get a DENY kiss
 	Deny    KissCode   // nonzero: every request gets this kiss
-
-	mac *MACer
-}
-
-func (a *ServerAuth) macer() *MACer {
-	if a.mac == nil {
-		a.mac = NewMACer(a.Keys)
-	}
-	return a.mac
 }
 
 // Authenticate classifies raw (a full request datagram) into ra,
-// overwriting it. A nil policy classifies everything as AuthNone.
+// overwriting its classification. A nil policy classifies everything as
+// AuthNone.
 func (a *ServerAuth) Authenticate(raw []byte, ra *RequestAuth) {
-	*ra = RequestAuth{}
+	*ra = RequestAuth{mac: ra.mac}
 	if a == nil {
 		return
 	}
@@ -81,7 +87,7 @@ func (a *ServerAuth) Authenticate(raw []byte, ra *RequestAuth) {
 			ra.Bad = true
 			return
 		}
-		keyID, ok := a.macer().Verify(raw[:len(raw)-len(mac)], mac)
+		keyID, ok := ra.macer(a.Keys).Verify(raw[:len(raw)-len(mac)], mac)
 		if ok {
 			ra.Kind = AuthMAC
 			ra.KeyID = keyID
@@ -124,7 +130,7 @@ func (a *ServerAuth) SealResponse(out []byte, ra *RequestAuth) []byte {
 	}
 	switch ra.Kind {
 	case AuthMAC:
-		out, _ = a.macer().AppendMAC(out, ra.KeyID, out)
+		out, _ = ra.macer(a.Keys).AppendMAC(out, ra.KeyID, out)
 	case AuthNTS:
 		out = a.NTS.SealResponse(out, &ra.NTS)
 	}
@@ -220,4 +226,54 @@ func (c *ClientAuth) VerifyResponse(raw []byte) (authenticated, acceptable bool)
 		return false, false
 	}
 	return true, true
+}
+
+// Reply is CheckReply's classification of one reply datagram.
+type Reply uint8
+
+// Reply classes.
+const (
+	ReplyIgnore         Reply = iota // not an answer to this request: keep waiting
+	ReplyAuthReject                  // a valid answer the auth policy refuses: keep waiting
+	ReplyKissUnbelieved              // an origin-valid kiss that fails a require-auth policy: the exchange ends
+	ReplyKissBelieved                // an origin-valid kiss, folded into the association state: the exchange ends
+	ReplyAccept                      // a valid, acceptable answer: use its timestamps
+)
+
+// CheckReply is the client-side reply check every NTP client in the
+// stack runs — the simnet Chronos and classic clients and both wirenet
+// transports. It decodes payload into resp and classifies it as the
+// answer to a request sent with transmit timestamp origin:
+//
+//   - A kiss (mode 4, stratum 0) counts as one only for a KoD-aware
+//     caller, one that passes its association state kst. A kiss that
+//     does not echo origin is ignored, so blind off-path spoofing stays
+//     defeated. One that does is believed unless auth requires
+//     authentication and the kiss lacks it (RFC 8915 §5.7, the rule that
+//     disarms forged-KoD denial); a believed kiss is folded into kst.
+//   - Anything else must pass ntpwire.ValidServerResponse (mode 4,
+//     non-zero stratum, origin echo) and then auth.VerifyResponse.
+//
+// auth and kst may be nil: no credentials, and no KoD handling.
+func CheckReply(resp *ntpwire.Packet, payload []byte, origin ntpwire.Timestamp, auth *ClientAuth, kst *AssocState) Reply {
+	if ntpwire.DecodeInto(resp, payload) != nil {
+		return ReplyIgnore
+	}
+	if kst != nil && isKoD(resp) {
+		if resp.OriginTime != origin {
+			return ReplyIgnore
+		}
+		if authed, _ := auth.VerifyResponse(payload); !authed && auth.RequiresAuth() {
+			return ReplyKissUnbelieved
+		}
+		kst.OnKoD(Code(resp))
+		return ReplyKissBelieved
+	}
+	if !ntpwire.ValidServerResponse(resp, origin) {
+		return ReplyIgnore
+	}
+	if _, ok := auth.VerifyResponse(payload); !ok {
+		return ReplyAuthReject
+	}
+	return ReplyAccept
 }

@@ -57,7 +57,7 @@ type Config struct {
 	// checked against it, and Kiss-o'-Death packets drive the per-
 	// association ntpauth.AssocState machine — demobilize on DENY/RSTR,
 	// back off on RATE — with unauthenticated kisses ignored when the
-	// policy requires authentication.
+	// policy requires authentication (ntpauth.CheckReply).
 	Auth *ntpauth.ClientAuth
 }
 
@@ -107,7 +107,6 @@ type association struct {
 	filter  []filterSample // most recent last, max 8
 	reach   uint8
 	sentT1  time.Time // local clock at last request (origin check)
-	trueT1  time.Time // true time at last request
 	pending bool
 
 	kod       ntpauth.AssocState // DENY/RSTR demobilization, RATE strikes
@@ -267,9 +266,7 @@ func (c *Client) sendRequest(a *association) {
 			return
 		}
 	}
-	now := c.host.Net().Now()
-	a.trueT1 = now
-	a.sentT1 = c.clk.Now(now)
+	a.sentT1 = c.clk.Now(c.host.Net().Now())
 	a.pending = true
 	a.reach <<= 1
 	var req ntpwire.Packet
@@ -282,49 +279,37 @@ func (c *Client) sendRequest(a *association) {
 	_ = c.host.SendUDP(a.port, a.addr, c.wireBuf)
 }
 
-// responseHandler validates and files one server response.
+// responseHandler checks one server response with ntpauth.CheckReply and
+// files it. A believed RATE kiss also earns a back-off: this client's own
+// policy on top of the shared reply check.
 func (c *Client) responseHandler(a *association) simnet.Handler {
 	return func(now time.Time, meta simnet.Meta, payload []byte) {
 		if meta.From != a.addr || !a.pending {
 			return
 		}
-		resp, err := ntpwire.Decode(payload)
-		if err != nil {
-			return
-		}
-		if ntpauth.IsKoD(resp) {
-			// Believe only kisses that echo our origin (blind off-path
-			// spoofing is still defeated) and that pass the auth policy
-			// when one requires it.
-			if resp.OriginTime != ntpwire.TimestampFromTime(a.sentT1) {
-				return
-			}
-			c.stats.KoDKisses++
-			authed, _ := c.cfg.Auth.VerifyResponse(payload)
-			believed := authed || !c.cfg.Auth.RequiresAuth()
-			a.kod.OnKoD(ntpauth.Code(resp), authed, c.cfg.Auth.RequiresAuth())
-			if believed && ntpauth.Code(resp) == ntpauth.KissRATE {
+		var resp ntpwire.Packet
+		switch ntpauth.CheckReply(&resp, payload, ntpwire.TimestampFromTime(a.sentT1), c.cfg.Auth, &a.kod) {
+		case ntpauth.ReplyIgnore:
+		case ntpauth.ReplyAuthReject:
+			c.stats.AuthRejects++
+		case ntpauth.ReplyKissBelieved:
+			if ntpauth.Code(&resp) == ntpauth.KissRATE {
 				a.skipPolls += 2 // quadruple the effective poll interval once
 			}
+			fallthrough
+		case ntpauth.ReplyKissUnbelieved:
+			c.stats.KoDKisses++
 			a.pending = false
-			return
-		}
-		if !ntpwire.ValidServerResponse(resp, ntpwire.TimestampFromTime(a.sentT1)) {
-			return
-		}
-		if _, acceptable := c.cfg.Auth.VerifyResponse(payload); !acceptable {
-			c.stats.AuthRejects++
-			return
-		}
-		a.pending = false
-		a.reach |= 1
-		c.stats.Responses++
-
-		t4 := c.clk.Now(now)
-		offset, delay := ntpwire.OffsetDelay(a.sentT1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), t4)
-		a.filter = append(a.filter, filterSample{offset: offset, delay: delay, at: now})
-		if len(a.filter) > 8 {
-			a.filter = a.filter[len(a.filter)-8:]
+		case ntpauth.ReplyAccept:
+			a.pending = false
+			a.reach |= 1
+			c.stats.Responses++
+			t4 := c.clk.Now(now)
+			offset, delay := ntpwire.OffsetDelay(a.sentT1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), t4)
+			a.filter = append(a.filter, filterSample{offset: offset, delay: delay, at: now})
+			if len(a.filter) > 8 {
+				a.filter = a.filter[len(a.filter)-8:]
+			}
 		}
 	}
 }

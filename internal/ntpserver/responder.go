@@ -93,9 +93,10 @@ func (r *Responder) Respond(resp *ntpwire.Packet, now time.Time, req *ntpwire.Pa
 }
 
 // ServeState is per-caller scratch for ServeDatagram: the decoded
-// request and reply packets and the request's authentication
-// classification. Each read loop (or simnet server) owns one, keeping
-// the steady serve path free of per-request allocation.
+// request and reply packets, and the request's authentication
+// classification with the MAC verify/seal scratch it carries.
+// Each read loop (or simnet server) owns one, keeping the steady serve
+// path free of per-request allocation and of locks.
 type ServeState struct {
 	Req  ntpwire.Packet
 	Resp ntpwire.Packet
@@ -118,9 +119,8 @@ type ServeState struct {
 // measure. The MAC path performs no heap allocation given spare
 // capacity in out.
 //
-// Unlike Respond, ServeDatagram must not be called concurrently for the
-// same underlying Auth policy state; wirenet serialises it with a mutex
-// when running multiple listeners.
+// ServeDatagram is safe for concurrent use as long as each goroutine
+// passes its own ServeState; wirenet's listeners call it with no lock.
 func (r *Responder) ServeDatagram(out []byte, now time.Time, raw []byte, st *ServeState, from simnet.Addr) ([]byte, bool) {
 	if err := ntpwire.DecodeInto(&st.Req, raw); err != nil {
 		return out, false

@@ -1,8 +1,8 @@
 // Package shiftsim is the long-horizon adversarial clock-shift engine: it
-// drives the Chronos round loop — sample m, trim 2d, C1/C2, K-failure
-// panic escalation, exactly the code path internal/chronos runs on the
-// wire — over weeks to years of virtual time against attacker-controlled
-// servers that serve *adaptive* offsets.
+// runs the Chronos round — sample m, trim 2d, C1/C2, K-failure panic
+// escalation, through the same chronos.Round driver the packet client
+// and the wire Syncer run — over weeks to years of virtual time against
+// attacker-controlled servers that serve *adaptive* offsets.
 //
 // The paper's headline claim ("to shift time on a Chronos NTP client by
 // 100ms a strong MitM attacker would need 20 years of effort" — and its
@@ -14,7 +14,7 @@
 // models, and eval.ShiftStudy (E10) cross-tabulates both against the
 // prediction.
 //
-// Two fidelity levels share one decision core (chronos.Rule / Round):
+// Two fidelity levels share that one round driver:
 //
 //   - Compressed (default): one engine iteration per sampling attempt.
 //     Pool sampling is a real without-replacement draw from the seeded
@@ -181,6 +181,18 @@ type Result struct {
 	Demobilized  int // benign servers killed by believed forged kisses
 }
 
+// setCounts fills the round counters from the round driver's Stats. Every
+// round is one fresh attempt plus one per re-sample (the panic sweep is
+// not an attempt).
+func (r *Result) setCounts(st chronos.Stats) {
+	r.Rounds = int(st.Rounds)
+	r.Attempts = int(st.Rounds + st.Resamples)
+	r.Updates = int(st.Updates)
+	r.Resamples = int(st.Resamples)
+	r.Panics = int(st.Panics)
+	r.PanicUpdates = int(st.PanicUpdates)
+}
+
 // Run executes one long-horizon simulation.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
@@ -234,6 +246,7 @@ type engine struct {
 	offsets []time.Duration // per-attempt sample buffer
 	fate    []uint8         // per-pool-member auth-layer outcome (auth.go)
 
+	stats  chronos.Stats // the round driver's counters
 	res    Result
 	streak int // current fresh-attempt capture run
 }
@@ -293,7 +306,6 @@ func (e *engine) run() (*Result, error) {
 		if e.cfg.Wander.Enabled() {
 			e.clk.SetDrift(e.now, e.cfg.Wander.Next(e.rng, e.clk.DriftPPM()))
 		}
-		e.res.Rounds++
 		e.round(round)
 		// Re-check the clock at the round boundary as well: with a
 		// drifting client the target can be crossed *between* accepted
@@ -307,35 +319,39 @@ func (e *engine) run() (*Result, error) {
 	}
 	e.res.FinalOffset = e.clk.Offset(e.now)
 	e.res.Elapsed = e.now.Sub(epoch)
+	e.res.setCounts(e.stats)
 	return &e.res, nil
 }
 
-// round executes one sync round: fresh attempt, up to K re-samples, then
-// a panic sweep — the same escalation the packet client walks, via the
-// same chronos.Round state machine.
+// round executes one sync round through the chronos.Round driver — the
+// same driver the packet client and the wire Syncer run: a fresh
+// attempt, up to K re-samples, then a panic sweep. The engine keeps only
+// its own draw, offsets, virtual time and observers.
 func (e *engine) round(round int) {
-	rnd := chronos.NewRound(e.cfg.Client.Retries)
-	for attempt := 0; ; attempt++ {
-		e.res.Attempts++
-		mal := e.sample(e.cfg.Client.SampleSize)
-		if attempt == 0 {
-			e.observeCapture(round, mal)
+	rnd := chronos.NewRound(&e.rule, &e.stats)
+	for attempt, act := 0, chronos.Resample; ; attempt++ {
+		swept := act == chronos.Panic
+		if swept {
+			e.sweep(round)
+		} else {
+			mal := e.sample(e.cfg.Client.SampleSize)
+			if attempt == 0 {
+				e.observeCapture(round, mal)
+			}
+			e.attempt(round, attempt, mal)
 		}
-		v := e.evaluateAttempt(round, attempt, mal)
 		e.advance(e.cfg.Client.QueryTimeout)
-		switch rnd.Submit(v) {
+		var v chronos.Verdict
+		v, act = rnd.Next(e.offsets)
+		switch act {
 		case chronos.Apply:
 			e.clk.Step(e.now, v.Update)
-			e.res.Updates++
-			if v.Update > e.res.MaxPush {
+			if !swept && v.Update > e.res.MaxPush {
 				e.res.MaxPush = v.Update
 			}
 			e.observeClock(round, e.now)
 			return
-		case chronos.Resample:
-			e.res.Resamples++
-		case chronos.Panic:
-			e.panic(round)
+		case chronos.Stop:
 			return
 		}
 	}
@@ -356,9 +372,9 @@ func (e *engine) sample(m int) (malicious int) {
 	return malicious
 }
 
-// evaluateAttempt builds the attempt's offset samples and applies the
-// Chronos rule.
-func (e *engine) evaluateAttempt(round, attempt, mal int) chronos.Verdict {
+// attempt builds one sampling attempt's offsets for the m members drawn
+// into idx[:m].
+func (e *engine) attempt(round, attempt, mal int) {
 	m := e.cfg.Client.SampleSize
 	theta := e.clk.Offset(e.now)
 	if e.cfg.Auth != nil && e.cfg.Auth.Move == MoveMACStrip {
@@ -381,12 +397,10 @@ func (e *engine) evaluateAttempt(round, attempt, mal int) chronos.Verdict {
 	for _, id := range e.idx[:m] {
 		e.collect(id, theta, plan)
 	}
-	return e.rule.Evaluate(e.offsets)
 }
 
-// panic runs the panic-mode full-pool sweep.
-func (e *engine) panic(round int) {
-	e.res.Panics++
+// sweep builds the panic-mode full-pool sweep's offsets.
+func (e *engine) sweep(round int) {
 	theta := e.clk.Offset(e.now)
 	plan := e.cfg.Strategy.Plan(View{
 		Round: round, Panic: true,
@@ -402,14 +416,6 @@ func (e *engine) panic(round int) {
 	for id := range e.fate {
 		e.collect(id, theta, plan)
 	}
-	upd, ok := e.rule.PanicUpdate(e.offsets)
-	e.advance(e.cfg.Client.QueryTimeout)
-	if !ok {
-		return
-	}
-	e.clk.Step(e.now, upd)
-	e.res.PanicUpdates++
-	e.observeClock(round, e.now)
 }
 
 // observeCapture tracks the fresh-attempt capture-run statistic.

@@ -128,13 +128,7 @@ func runWire(cfg Config) (*Result, error) {
 	}
 	cli.Stop()
 
-	st := cli.Stats()
-	res.Rounds = int(st.Rounds)
-	res.Attempts = int(st.Rounds + st.Resamples)
-	res.Updates = int(st.Updates)
-	res.Resamples = int(st.Resamples)
-	res.Panics = int(st.Panics)
-	res.PanicUpdates = int(st.PanicUpdates)
+	res.setCounts(cli.Stats())
 	now := net.Now()
 	res.FinalOffset = clk.Offset(now)
 	res.Elapsed = now.Sub(start)

@@ -92,23 +92,22 @@ type Config struct {
 // Network is the simulated internet. All methods must be called from the
 // event-loop thread (handlers and timer callbacks already are).
 type Network struct {
-	start     time.Time // virtual-time epoch; event times are ns since it
-	startUnix int64     // start.UnixNano(), cached for NowUnixNano
-	now       time.Time
-	nowNs     int64
-	seq       uint64
-	events    []event  // slab: all events live here, addressed by handle
-	free      []int32  // free slab slots (slots are generation-counted)
-	queue     qheap    // pending events in dispatch order (see queue.go)
-	bufs      [][]byte // pooled datagram buffers for the unfragmented path
-	rng       *rand.Rand
-	hosts     map[IP]*Host
-	taps      []tapEntry
-	tapSeq    uint64
-	latency   LatencyFn
-	loss      LossFn
-	mtu       MTUFn
-	mtuOvr    map[[2]IP]int
+	start   time.Time // virtual-time epoch; event times are ns since it
+	now     time.Time
+	nowNs   int64
+	seq     uint64
+	events  []event  // slab: all events live here, addressed by handle
+	free    []int32  // free slab slots (slots are generation-counted)
+	queue   qheap    // pending events in dispatch order (see queue.go)
+	bufs    [][]byte // pooled datagram buffers for the unfragmented path
+	rng     *rand.Rand
+	hosts   map[IP]*Host
+	taps    []tapEntry
+	tapSeq  uint64
+	latency LatencyFn
+	loss    LossFn
+	mtu     MTUFn
+	mtuOvr  map[[2]IP]int
 
 	delivered uint64 // datagrams handed to handlers
 	dropped   uint64 // packets lost, tapped away, or undeliverable
@@ -139,15 +138,14 @@ func New(cfg Config) *Network {
 		mtu = func(src, dst IP) int { return DefaultMTU }
 	}
 	n := &Network{
-		start:     start,
-		startUnix: start.UnixNano(),
-		now:       start,
-		rng:       rand.New(rand.NewSource(seed)),
-		hosts:     make(map[IP]*Host),
-		latency:   lat,
-		loss:      loss,
-		mtu:       mtu,
-		mtuOvr:    make(map[[2]IP]int),
+		start:   start,
+		now:     start,
+		rng:     rand.New(rand.NewSource(seed)),
+		hosts:   make(map[IP]*Host),
+		latency: lat,
+		loss:    loss,
+		mtu:     mtu,
+		mtuOvr:  make(map[[2]IP]int),
 	}
 	return n
 }
@@ -174,11 +172,6 @@ func (n *Network) PathMTU(src, dst IP) int {
 
 // Now returns the current virtual time.
 func (n *Network) Now() time.Time { return n.now }
-
-// NowUnixNano returns Now().UnixNano() without materializing a time.Time
-// — the hot representation for code that timestamps per-packet state at
-// fleet scale.
-func (n *Network) NowUnixNano() int64 { return n.startUnix + n.nowNs }
 
 // Rand returns the network's seeded RNG. Services use it so that a single
 // seed reproduces the entire run.

@@ -244,11 +244,11 @@ func TestConformanceAuthenticatedResponseBytes(t *testing.T) {
 				t.Fatalf("sim path: bare request produced %d replies, want one DENY kiss", len(simReplies)-requests)
 			}
 			var kiss ntpwire.Packet
-			if err := ntpwire.DecodeInto(&kiss, simReplies[requests]); err != nil {
-				t.Fatal(err)
-			}
-			if !ntpauth.IsKoD(&kiss) || ntpauth.Code(&kiss) != ntpauth.KissDENY {
-				t.Fatalf("bare request answered with non-DENY reply: %+v", kiss)
+			var kst ntpauth.AssocState
+			origin := ntpwire.TimestampFromTime(start.Add(time.Hour))
+			if v := ntpauth.CheckReply(&kiss, simReplies[requests], origin, nil, &kst); v != ntpauth.ReplyKissBelieved ||
+				ntpauth.Code(&kiss) != ntpauth.KissDENY {
+				t.Fatalf("bare request answered with %v, not a DENY kiss: %+v", v, kiss)
 			}
 		})
 	}

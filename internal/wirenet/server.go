@@ -9,10 +9,9 @@
 // traffic, so the wire format, timeout and escalation logic must hold up
 // against real sockets under load, not only inside the simulator. The
 // conformance tests in this package pin the two paths to each other —
-// byte-identical replies from the shared responder, identical
-// chronos.Rule decisions from the shared sampling and evaluation core —
-// so wire mode can never drift from the simulation the experiments run
-// on.
+// byte-identical replies from the shared responder, identical decision
+// sequences from the shared sample draw and chronos.Round driver — so
+// wire mode can never drift from the simulation the experiments run on.
 //
 // Performance contract: the steady serve path (read → decode → respond →
 // encode → write) performs zero heap allocations per request; every
@@ -82,20 +81,14 @@ func (c ServerConfig) withDefaults() ServerConfig {
 }
 
 // Server is a concurrent UDP NTP server on a real socket. Listeners
-// read-loop goroutines share one socket; each owns its request/response
-// packet structs and buffers, so the steady path allocates nothing.
+// read-loop goroutines share one socket and one Responder; each owns its
+// request/response packet structs, buffers and auth scratch, so the
+// steady path allocates nothing and takes no lock.
 type Server struct {
 	cfg    ServerConfig
 	conn   *net.UDPConn
 	wg     sync.WaitGroup
 	closed atomic.Bool
-
-	// authMu serialises ServeDatagram across listeners when an auth
-	// policy is configured: ntpauth.ServerAuth owns reusable digest and
-	// AEAD scratch that is not concurrency-safe. Unauthenticated servers
-	// skip the lock entirely, leaving the zero-alloc hot path untouched.
-	authMu     sync.Mutex
-	authSerial bool
 
 	served  atomic.Uint64 // requests answered
 	dropped atomic.Uint64 // datagrams discarded (malformed, wrong mode, auth reject, write failure)
@@ -112,7 +105,7 @@ func Serve(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wirenet: listen %q: %w", cfg.Addr, err)
 	}
-	s := &Server{cfg: cfg, conn: conn, authSerial: cfg.Responder.Config().Auth != nil}
+	s := &Server{cfg: cfg, conn: conn}
 	s.wg.Add(cfg.Listeners)
 	for i := 0; i < cfg.Listeners; i++ {
 		go s.readLoop()
@@ -179,25 +172,24 @@ func (s *Server) readLoop() {
 
 // serveOne answers a single datagram through the shared authenticated
 // serve core (ntpserver.Responder.ServeDatagram): decode, classify
-// credentials, respond, credential-seal, write. It returns the (possibly
-// regrown) output buffer and whether a reply was sent. The fuzz target
-// drives this function directly with arbitrary payloads.
+// credentials, respond, credential-seal, write. Listeners run it
+// concurrently with no lock: st holds each listener's verify/seal
+// scratch. It returns the (possibly regrown) output buffer and whether a
+// reply was sent. The fuzz target drives this function directly with
+// arbitrary payloads.
 func (s *Server) serveOne(st *ntpserver.ServeState, out []byte, payload []byte, from netip.AddrPort) ([]byte, bool) {
-	if s.authSerial {
-		s.authMu.Lock()
-	}
 	b, ok := s.cfg.Responder.ServeDatagram(out, s.cfg.Now(), payload, st, simnet.AddrFromAddrPort(from))
-	if s.authSerial {
-		s.authMu.Unlock()
-	}
 	if !ok {
 		s.dropped.Add(1)
 		return b, false
 	}
+	// Count before the write: once the reply is on the wire its receiver
+	// may read Served, and must see this request in it.
+	s.served.Add(1)
 	if _, err := s.conn.WriteToUDPAddrPort(b, from); err != nil {
+		s.served.Add(^uint64(0))
 		s.dropped.Add(1)
 		return b, false
 	}
-	s.served.Add(1)
 	return b, true
 }

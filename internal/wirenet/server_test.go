@@ -1,12 +1,14 @@
 package wirenet
 
 import (
+	"fmt"
 	"net"
 	"net/netip"
 	"sync"
 	"testing"
 	"time"
 
+	"chronosntp/internal/ntpauth"
 	"chronosntp/internal/ntpserver"
 	"chronosntp/internal/ntpwire"
 )
@@ -157,6 +159,117 @@ func TestWireServeConcurrent(t *testing.T) {
 	}
 	if want := uint64(goroutines * perG); srv.Served() != want {
 		t.Fatalf("served=%d, want %d", srv.Served(), want)
+	}
+}
+
+// TestWireServeConcurrentAuth is the race test for the lock-free
+// authenticated serve path: 64 goroutines, half MAC and half NTS, against
+// several listeners sharing one ServerAuth. Every reply must pass the
+// client's reply check, and the NTS authenticator nonces — drawn from one
+// counter under one master key — must never repeat across listeners.
+func TestWireServeConcurrentAuth(t *testing.T) {
+	key := ntpauth.Key{ID: 3, Algo: ntpauth.AlgoSHA256, Secret: []byte("concurrent-auth-secret")}
+	tbl, err := ntpauth.NewKeyTable(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ntsSrv, err := ntpauth.NewNTSServer(make([]byte, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(ServerConfig{
+		Listeners: 4,
+		Responder: ntpserver.NewResponder(ntpserver.Config{Auth: &ntpauth.ServerAuth{Keys: tbl, NTS: ntsSrv, Require: true}}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	const goroutines = 64
+	perG := 30
+	if testing.Short() {
+		perG = 5
+	}
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		nonces = make(map[string]bool)
+	)
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		ca := &ntpauth.ClientAuth{Key: key, Require: true}
+		if g%2 == 1 {
+			sess, err := ntpauth.Establish(ntsSrv, int64(g), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ca = &ntpauth.ClientAuth{NTS: sess, Require: true}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := net.DialUDP("udp4", nil, net.UDPAddrFromAddrPort(srv.AddrPort()))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer conn.Close()
+			var buf [readBufSize]byte
+			var resp ntpwire.Packet
+			for i := 0; i < perG; i++ {
+				t1 := time.Now()
+				if _, err := conn.Write(ca.SealRequest(ntpwire.NewClientPacket(t1).Encode())); err != nil {
+					errs <- err
+					return
+				}
+				if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+					errs <- err
+					return
+				}
+				n, err := conn.Read(buf[:])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if v := ntpauth.CheckReply(&resp, buf[:n], ntpwire.TimestampFromTime(t1), ca, nil); v != ntpauth.ReplyAccept {
+					errs <- fmt.Errorf("reply %d classified %v", i, v)
+					return
+				}
+				if ca.NTS == nil {
+					continue
+				}
+				ext, _, _ := ntpwire.SplitAuth(buf[:n])
+				for it := ntpwire.IterExtensions(ext); ; {
+					typ, body, more := it.Next()
+					if !more {
+						break
+					}
+					if typ == ntpwire.ExtNTSAuthenticator && len(body) >= 16 {
+						nonce := string(body[4:16]) // nonceLen ‖ ctLen ‖ 12-byte nonce
+						mu.Lock()
+						dup := nonces[nonce]
+						nonces[nonce] = true
+						mu.Unlock()
+						if dup {
+							errs <- fmt.Errorf("NTS nonce %x reused", nonce)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if want := uint64(goroutines * perG); srv.Served() != want || srv.Dropped() != 0 {
+		t.Fatalf("served=%d dropped=%d, want %d/0", srv.Served(), srv.Dropped(), want)
+	}
+	if want := goroutines / 2 * perG; len(nonces) != want {
+		t.Fatalf("%d distinct NTS nonces, want %d", len(nonces), want)
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 	"chronosntp/internal/chronos"
 )
 
-// Syncer drives the Chronos decision core — chronos.Rule sampling and
-// evaluation plus the chronos.Round re-sample/panic escalation — over
-// any Transport. It is the real-wire counterpart of chronos.Client: the
-// same SampleIndices draw, the same C1/C2 acceptance, the same
-// escalation ladder, only the packet plumbing swapped out underneath.
+// Syncer runs the Chronos client round over any Transport: the
+// chronos.Rule.SampleIndices draw, and the chronos.Round driver for
+// everything the round decides and counts. It is the real-wire
+// counterpart of chronos.Client — the same draw, the same driver, with
+// only the packet plumbing swapped out underneath.
 // One Syncer with one seed makes the identical sampling decisions
 // whether it holds a SimTransport or a UDPTransport, which is what the
 // transport-conformance tests assert.
@@ -83,50 +83,38 @@ type RoundTrace struct {
 	Update   time.Duration     // the applied correction (normal or panic path)
 }
 
-// SyncRound runs one full Chronos synchronisation round: sample m
-// servers, evaluate C1/C2, re-sample up to K times on failure, then fall
-// through to panic mode (query the whole pool, trust the middle third).
-// Accepted updates are applied to the transport's clock via Step.
+// SyncRound runs one full Chronos synchronisation round through the
+// chronos.Round driver: sample m servers, evaluate C1/C2, re-sample up to
+// K times on failure, then fall through to panic mode (query the whole
+// pool, trust the middle third). Accepted updates are applied to the
+// transport's clock via Step.
 func (s *Syncer) SyncRound() RoundTrace {
-	s.stats.Rounds++
-	round := chronos.NewRound(s.cfg.Retries)
+	round := chronos.NewRound(&s.rule, &s.stats)
 	var tr RoundTrace
+	idx := s.rule.SampleIndices(s.rng, len(s.pool))
 	for {
-		idx := s.rule.SampleIndices(s.rng, len(s.pool))
 		offsets := s.collect(idx)
-		v := s.rule.Evaluate(offsets)
-		if v.Reason == chronos.FailInsufficient {
-			s.stats.IncompleteRound++
-		}
-		act := round.Submit(v)
-		tr.Attempts = append(tr.Attempts, v)
-		tr.Actions = append(tr.Actions, act)
 		tr.Replies = append(tr.Replies, len(offsets))
-
+		v, act := round.Next(offsets)
+		if !tr.Panicked {
+			tr.Attempts = append(tr.Attempts, v)
+			tr.Actions = append(tr.Actions, act)
+		}
 		switch act {
+		case chronos.Resample:
+			idx = s.rule.SampleIndices(s.rng, len(s.pool))
+		case chronos.Panic:
+			tr.Panicked = true
+			idx = make([]int, len(s.pool))
+			for i := range idx {
+				idx[i] = i
+			}
 		case chronos.Apply:
-			s.apply(v.Update)
-			s.stats.Updates++
+			s.tr.Step(v.Update)
+			s.correction += v.Update
 			tr.Applied, tr.Update = true, v.Update
 			return tr
-		case chronos.Resample:
-			s.stats.Resamples++
-		case chronos.Panic:
-			s.stats.Panics++
-			tr.Panicked = true
-			all := make([]int, len(s.pool))
-			for i := range all {
-				all[i] = i
-			}
-			offsets := s.collect(all)
-			tr.Replies = append(tr.Replies, len(offsets))
-			if up, ok := s.rule.PanicUpdate(offsets); ok {
-				s.apply(up)
-				s.stats.PanicUpdates++
-				tr.Applied, tr.Update = true, up
-			} else {
-				s.stats.IncompleteRound++
-			}
+		case chronos.Stop:
 			return tr
 		}
 	}
@@ -146,10 +134,4 @@ func (s *Syncer) collect(idx []int) []time.Duration {
 		offsets = append(offsets, sample.Offset)
 	}
 	return offsets
-}
-
-// apply disciplines the transport clock and the bookkeeping.
-func (s *Syncer) apply(update time.Duration) {
-	s.tr.Step(update)
-	s.correction += update
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"chronosntp/internal/clock"
+	"chronosntp/internal/ntpauth"
 	"chronosntp/internal/ntpwire"
 	"chronosntp/internal/simnet"
 )
@@ -26,9 +27,10 @@ type Sample struct {
 
 // Transport performs one client NTP exchange. Two implementations exist:
 // UDPTransport speaks real sockets in real time, SimTransport drives the
-// discrete-event simulator in virtual time. A Syncer is oblivious to
-// which one it holds — that seam is what lets the conformance tests pin
-// wire mode to the simulator.
+// discrete-event simulator in virtual time. Both accept a reply only
+// through ntpauth.CheckReply, the reply check the simnet clients run too.
+// A Syncer is oblivious to which one it holds — that seam is what lets
+// the conformance tests pin wire mode to the simulator.
 //
 // The transport owns the client's disciplined clock: Exchange measures
 // offsets against it, Step applies a synchronisation correction to it
@@ -41,6 +43,11 @@ type Transport interface {
 	// Step disciplines the transport's client clock by delta.
 	Step(delta time.Duration)
 }
+
+// replyBufs recycles UDPTransport's receive buffers: ntpauth.CheckReply
+// hands the payload on to the auth verifier, so a buffer on Exchange's
+// stack would move to the heap on every exchange.
+var replyBufs = sync.Pool{New: func() any { return new([readBufSize]byte) }}
 
 // UDPTransport exchanges NTP packets over real UDP sockets. The zero
 // value is ready to use and reads the client clock from time.Now; the
@@ -85,8 +92,8 @@ func (t *UDPTransport) Correction() time.Duration {
 // Exchange implements Transport over a connected UDP socket. The
 // connected socket makes the kernel discard datagrams from any other
 // source address — the socket-layer analogue of simnet clients checking
-// Meta.From — and the origin-timestamp check rejects replies that do not
-// echo our transmit time.
+// Meta.From — and ntpauth.CheckReply skips replies that do not echo our
+// transmit time.
 func (t *UDPTransport) Exchange(server netip.AddrPort, timeout time.Duration) (Sample, error) {
 	conn, err := net.DialUDP("udp4", nil, net.UDPAddrFromAddrPort(server))
 	if err != nil {
@@ -95,6 +102,7 @@ func (t *UDPTransport) Exchange(server netip.AddrPort, timeout time.Duration) (S
 	defer conn.Close()
 
 	t1 := t.now()
+	origin := ntpwire.TimestampFromTime(t1)
 	req := ntpwire.NewClientPacket(t1)
 	if _, err := conn.Write(req.Encode()); err != nil {
 		return Sample{}, fmt.Errorf("wirenet: send to %s: %w", server, err)
@@ -102,7 +110,8 @@ func (t *UDPTransport) Exchange(server netip.AddrPort, timeout time.Duration) (S
 	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return Sample{}, err
 	}
-	var buf [readBufSize]byte
+	buf := replyBufs.Get().(*[readBufSize]byte)
+	defer replyBufs.Put(buf)
 	for {
 		n, err := conn.Read(buf[:])
 		if err != nil {
@@ -112,11 +121,8 @@ func (t *UDPTransport) Exchange(server netip.AddrPort, timeout time.Duration) (S
 			return Sample{}, fmt.Errorf("wirenet: read from %s: %w", server, err)
 		}
 		var resp ntpwire.Packet
-		if ntpwire.DecodeInto(&resp, buf[:n]) != nil {
-			continue // malformed datagram; keep waiting for a valid reply
-		}
-		if !ntpwire.ValidServerResponse(&resp, ntpwire.TimestampFromTime(t1)) {
-			continue // KoD-range stratum, wrong mode, or origin mismatch
+		if ntpauth.CheckReply(&resp, buf[:n], origin, nil, nil) != ntpauth.ReplyAccept {
+			continue // malformed, a kiss, wrong mode or origin: keep waiting
 		}
 		t4 := t.now()
 		off, delay := ntpwire.OffsetDelay(t1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), t4)
@@ -171,8 +177,8 @@ func (t *SimTransport) Exchange(server netip.AddrPort, timeout time.Duration) (S
 		return Sample{}, errors.New("wirenet: no ephemeral port on simulated host")
 	}
 
-	trueT1 := nw.Now()
-	t1 := t.clockNow(trueT1)
+	t1 := t.clockNow(nw.Now())
+	origin := ntpwire.TimestampFromTime(t1)
 	var (
 		sample Sample
 		got    bool
@@ -182,10 +188,7 @@ func (t *SimTransport) Exchange(server netip.AddrPort, timeout time.Duration) (S
 			return
 		}
 		var resp ntpwire.Packet
-		if ntpwire.DecodeInto(&resp, payload) != nil {
-			return
-		}
-		if !ntpwire.ValidServerResponse(&resp, ntpwire.TimestampFromTime(t1)) {
+		if ntpauth.CheckReply(&resp, payload, origin, nil, nil) != ntpauth.ReplyAccept {
 			return
 		}
 		t4 := t.clockNow(now)
